@@ -1,80 +1,66 @@
 //! Hot-path performance harness: events/sec of the optimized adaptive
-//! solver — on the chunked SoA compute backend and on the scalar
-//! reference backend — against the dense-reference oracle
+//! solver against the dense-reference oracle
 //! ([`SolverSpec::AdaptiveDense`]), which reaches the same decisions by
-//! scanning every junction per event on the scalar kernels. All three
-//! runs share one seed, so their run records must agree bit-for-bit —
-//! the harness exits nonzero on any mismatch before it reports a
-//! single number.
+//! scanning every junction per event with the per-junction scalar
+//! functions. Both runs share one seed, so their run records must
+//! agree bit-for-bit — the harness exits nonzero on any mismatch
+//! before it reports a single number.
 //!
 //! Workloads are the Fig. 6 logic benchmarks, measured strictly
 //! serially with interleaved timed windows (co-running workers would
 //! pollute the per-event timings). A machine-readable summary is
-//! written to `results/BENCH_hotpath.json` with the backend recorded
-//! per side, and the final stdout line `hotpath-speedup-largest: X.XX`
-//! is the CI gate quantity: the chunked-over-dense events/sec ratio on
-//! the largest measured benchmark, expected ≥ 2.5.
+//! written to `results/BENCH_hotpath.json`, and the final stdout line
+//! `hotpath-speedup-largest: X.XX` is the CI gate quantity: the
+//! optimized-over-dense events/sec ratio on the largest measured
+//! benchmark, expected ≥ 2.5.
 //!
 //! The harness also re-asserts sweep bit-identity on the Fig. 1 SET:
-//! a serial I–V sweep under the optimized solver — chunked and scalar —
-//! must match the dense-reference sweep bitwise in every control,
-//! current, and event count.
+//! a serial I–V sweep under the optimized solver must match the
+//! dense-reference sweep bitwise in every control, current, and event
+//! count.
 //!
 //! Arguments: `sample` (timed events per window, default 4000),
 //! `repeats` (timed windows per solver run, min-of-N, default 5),
 //! `warmup` (discarded events, default 500), `max_junctions` (default
 //! 2072), `seed` (1), `temp` (K; default = the logic family's
-//! operating point), `width` (chunk width, default 8), `out` (default
-//! `results/BENCH_hotpath.json`).
+//! operating point), `out` (default `results/BENCH_hotpath.json`).
 
 use semsim_bench::args::Args;
 use semsim_bench::devices::fig1_set;
-use semsim_bench::timing::measure_set;
-use semsim_core::backend::BackendSpec;
-use semsim_core::engine::{linspace, sweep, SimConfig, Simulation, SolverSpec};
+use semsim_bench::timing::measure_pair;
+use semsim_core::engine::{linspace, sweep, Record, SimConfig, Simulation, SolverSpec};
 use semsim_core::CoreError;
 use semsim_logic::{elaborate, Benchmark, SetLogicParams};
 
 /// Sweep bit-identity: the optimized solver's I–V curve on the Fig. 1
-/// SET — under both compute backends — must match the dense-reference
-/// oracle's bitwise.
-fn sweep_bit_identity(seed: u64, backend: BackendSpec) -> Result<(), String> {
+/// SET must match the dense-reference oracle's bitwise.
+fn sweep_bit_identity(seed: u64) -> Result<(), String> {
     let d = fig1_set().map_err(|e| e.to_string())?;
     let controls = linspace(10e-3, 40e-3, 6);
-    let run = |spec: SolverSpec, backend: BackendSpec| {
-        let cfg = SimConfig::new(0.1)
-            .with_seed(seed)
-            .with_solver(spec)
-            .with_backend(backend);
+    let run = |spec: SolverSpec| {
+        let cfg = SimConfig::new(0.1).with_seed(seed).with_solver(spec);
         sweep(&d.circuit, &cfg, d.j1, &controls, 300, 1200, |sim, v| {
             sim.set_lead_voltage(d.source_lead, v / 2.0)?;
             sim.set_lead_voltage(d.drain_lead, -v / 2.0)
         })
         .map_err(|e| e.to_string())
     };
-    let adaptive = SolverSpec::Adaptive {
+    let opt = run(SolverSpec::Adaptive {
         threshold: 0.05,
         refresh_interval: 500,
-    };
-    let dense = run(
-        SolverSpec::AdaptiveDense {
-            threshold: 0.05,
-            refresh_interval: 500,
-        },
-        BackendSpec::Scalar,
-    )?;
-    for b in [BackendSpec::Scalar, backend] {
-        let opt = run(adaptive, b)?;
-        for (o, r) in opt.iter().zip(&dense) {
-            let ob = (o.control.to_bits(), o.current.to_bits(), o.events);
-            let rb = (r.control.to_bits(), r.current.to_bits(), r.events);
-            if ob != rb {
-                return Err(format!(
-                    "{} sweep point diverged at control {}: optimized {ob:?} vs dense {rb:?}",
-                    b.label(),
-                    o.control
-                ));
-            }
+    })?;
+    let dense = run(SolverSpec::AdaptiveDense {
+        threshold: 0.05,
+        refresh_interval: 500,
+    })?;
+    for (o, r) in opt.iter().zip(&dense) {
+        let ob = (o.control.to_bits(), o.current.to_bits(), o.events);
+        let rb = (r.control.to_bits(), r.current.to_bits(), r.events);
+        if ob != rb {
+            return Err(format!(
+                "sweep point diverged at control {}: optimized {ob:?} vs dense {rb:?}",
+                o.control
+            ));
         }
     }
     Ok(())
@@ -87,38 +73,24 @@ fn main() {
     let repeats = args.u64_or("repeats", 5);
     let max_junctions = args.usize_or("max_junctions", 2072);
     let seed = args.u64_or("seed", 1);
-    let width = args.usize_or("width", 8).max(1);
-    let chunked = BackendSpec::Chunked { width };
     let out_path = std::env::args()
         .skip(1)
         .find_map(|t| t.strip_prefix("out=").map(String::from))
         .unwrap_or_else(|| "results/BENCH_hotpath.json".to_string());
 
     // Gate the cheap correctness check before any timing.
-    if let Err(e) = sweep_bit_identity(seed, chunked) {
+    if let Err(e) = sweep_bit_identity(seed) {
         eprintln!("FAIL: optimized sweep is not bit-identical to dense reference: {e}");
         std::process::exit(1);
     }
-    println!("# sweep bit-identity (chunked + scalar vs dense reference): OK");
+    println!("# sweep bit-identity (optimized vs dense reference): OK");
 
     let mut params = SetLogicParams::default();
     params.temperature = args.f64_or("temp", params.temperature);
+    println!("# hotpath — serial events/sec, adaptive solver vs dense-reference");
     println!(
-        "# hotpath — serial events/sec, adaptive solver ({} and scalar backends) \
-         vs dense-reference",
-        chunked.label()
-    );
-    println!(
-        "# {:<16} {:>6} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
-        "benchmark",
-        "junc",
-        "isl",
-        "chunk(ev/s)",
-        "scal(ev/s)",
-        "dense(ev/s)",
-        "chk/dns",
-        "scl/dns",
-        "memo-hit"
+        "# {:<16} {:>6} {:>6} {:>12} {:>12} {:>8}",
+        "benchmark", "junc", "isl", "opt(ev/s)", "dense(ev/s)", "speedup"
     );
 
     let benches: Vec<Benchmark> = Benchmark::all()
@@ -150,31 +122,21 @@ fn main() {
         // O(islands) refresh stays amortized-constant per event (same
         // policy as the Fig. 6 harness).
         let refresh_interval = 1_000u64.max(4 * elab.circuit.num_islands() as u64);
-        let mk_cfg = |spec: SolverSpec, backend: BackendSpec| {
+        let mk_cfg = |spec: SolverSpec| {
             SimConfig::new(params.temperature)
                 .with_seed(seed)
                 .with_solver(spec)
-                .with_backend(backend)
         };
-        let adaptive = SolverSpec::Adaptive {
-            threshold: 0.05,
-            refresh_interval,
-        };
-        let configs = [
-            mk_cfg(adaptive, chunked),
-            mk_cfg(adaptive, BackendSpec::Scalar),
-            mk_cfg(
-                SolverSpec::AdaptiveDense {
-                    threshold: 0.05,
-                    refresh_interval,
-                },
-                BackendSpec::Scalar,
-            ),
-        ];
-
-        let sides = match measure_set(
+        let pair = match measure_pair(
             &elab.circuit,
-            &configs,
+            &mk_cfg(SolverSpec::Adaptive {
+                threshold: 0.05,
+                refresh_interval,
+            }),
+            &mk_cfg(SolverSpec::AdaptiveDense {
+                threshold: 0.05,
+                refresh_interval,
+            }),
             warmup,
             sample,
             repeats,
@@ -186,81 +148,49 @@ fn main() {
                 continue;
             }
         };
-        let (chunk_side, scalar_side, dense_side) = (&sides[0], &sides[1], &sides[2]);
-        if chunk_side.records != dense_side.records || scalar_side.records != dense_side.records {
+        if pair.opt_records != pair.dense_records {
+            let events = |rs: &[Record]| -> Vec<u64> { rs.iter().map(|r| r.events).collect() };
             eprintln!(
                 "FAIL: {}: optimized run records differ from dense reference \
-                 (chunked events {:?}, scalar events {:?}, dense events {:?})",
+                 (optimized events {:?}, dense events {:?})",
                 b.name(),
-                chunk_side
-                    .records
-                    .iter()
-                    .map(|r| r.events)
-                    .collect::<Vec<_>>(),
-                scalar_side
-                    .records
-                    .iter()
-                    .map(|r| r.events)
-                    .collect::<Vec<_>>(),
-                dense_side
-                    .records
-                    .iter()
-                    .map(|r| r.events)
-                    .collect::<Vec<_>>(),
+                events(&pair.opt_records),
+                events(&pair.dense_records),
             );
             mismatch = true;
             continue;
         }
 
-        let speedup = dense_side.cost.wall_per_event / chunk_side.cost.wall_per_event;
-        let speedup_scalar = dense_side.cost.wall_per_event / scalar_side.cost.wall_per_event;
-        let (hits, misses) = chunk_side.memo.unwrap_or((0, 0));
-        let memo_pct = if hits + misses > 0 {
-            100.0 * hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
+        let speedup = pair.speedup();
         let junc = b.target_junctions();
         println!(
-            "{:<18} {:>6} {:>6} {:>12.0} {:>12.0} {:>12.0} {:>7.2}x {:>7.2}x {:>7.1}%",
+            "{:<18} {:>6} {:>6} {:>12.0} {:>12.0} {:>7.2}x",
             b.name(),
             junc,
             elab.circuit.num_islands(),
-            chunk_side.cost.events_per_sec(),
-            scalar_side.cost.events_per_sec(),
-            dense_side.cost.events_per_sec(),
+            pair.opt.events_per_sec(),
+            pair.dense.events_per_sec(),
             speedup,
-            speedup_scalar,
-            memo_pct,
         );
         rows.push(format!(
             concat!(
                 "    {{\"name\": \"{}\", \"junctions\": {}, \"islands\": {},\n",
-                "     \"optimized\": {{\"backend\": \"{}\", \"events_per_sec\": {:.6e}, ",
-                "\"wall_per_event\": {:.6e}, \"recalcs_per_event\": {:.6e}, ",
-                "\"memo_hits\": {}, \"memo_misses\": {}}},\n",
-                "     \"scalar\": {{\"backend\": \"scalar\", \"events_per_sec\": {:.6e}, ",
-                "\"wall_per_event\": {:.6e}}},\n",
-                "     \"dense\": {{\"backend\": \"scalar\", \"events_per_sec\": {:.6e}, ",
+                "     \"optimized\": {{\"events_per_sec\": {:.6e}, ",
                 "\"wall_per_event\": {:.6e}, \"recalcs_per_event\": {:.6e}}},\n",
-                "     \"speedup\": {:.4}, \"speedup_scalar\": {:.4}}}"
+                "     \"dense\": {{\"events_per_sec\": {:.6e}, ",
+                "\"wall_per_event\": {:.6e}, \"recalcs_per_event\": {:.6e}}},\n",
+                "     \"speedup\": {:.4}}}"
             ),
             b.name(),
             junc,
             elab.circuit.num_islands(),
-            chunked.label(),
-            chunk_side.cost.events_per_sec(),
-            chunk_side.cost.wall_per_event,
-            chunk_side.cost.recalcs_per_event,
-            hits,
-            misses,
-            scalar_side.cost.events_per_sec(),
-            scalar_side.cost.wall_per_event,
-            dense_side.cost.events_per_sec(),
-            dense_side.cost.wall_per_event,
-            dense_side.cost.recalcs_per_event,
+            pair.opt.events_per_sec(),
+            pair.opt.wall_per_event,
+            pair.opt.recalcs_per_event,
+            pair.dense.events_per_sec(),
+            pair.dense.wall_per_event,
+            pair.dense.recalcs_per_event,
             speedup,
-            speedup_scalar,
         ));
         if largest.as_ref().is_none_or(|&(j, _, _)| junc > j) {
             largest = Some((junc, b.name().to_string(), speedup));
@@ -280,19 +210,17 @@ fn main() {
         concat!(
             "{{\n",
             "  \"harness\": \"hotpath\",\n",
-            "  \"backend\": \"{}\",\n",
             "  \"sample\": {},\n",
             "  \"warmup\": {},\n",
             "  \"seed\": {},\n",
             "  \"threshold\": 0.05,\n",
             "  \"temperature\": {:.6e},\n",
-            "  \"bit_identity\": \"chunked, scalar, and dense-reference records compared ",
-            "bitwise per benchmark, plus a Fig. 1 SET sweep under both backends\",\n",
+            "  \"bit_identity\": \"optimized and dense-reference records compared ",
+            "bitwise per benchmark, plus a Fig. 1 SET sweep\",\n",
             "  \"benchmarks\": [\n{}\n  ],\n",
             "  \"largest\": {{\"name\": \"{}\", \"junctions\": {}, \"speedup\": {:.4}}}\n",
             "}}\n"
         ),
-        chunked.label(),
         sample,
         warmup,
         seed,

@@ -149,8 +149,8 @@ impl<'a> Sampler<'a> {
 }
 
 /// Everything [`measure_pair`] learned about one circuit: both cost
-/// profiles, both per-window record lists (for the bit-identity
-/// check), and the first side's memo counters when its solver memoises.
+/// profiles and both per-window record lists (for the bit-identity
+/// check).
 pub struct PairMeasurement {
     /// Cost of the first (optimized) configuration.
     pub opt: RunCost,
@@ -160,8 +160,6 @@ pub struct PairMeasurement {
     pub opt_records: Vec<Record>,
     /// Per-window records of the reference side, in window order.
     pub dense_records: Vec<Record>,
-    /// `(hits, misses)` of the optimized side's rate memo, if any.
-    pub memo: Option<(u64, u64)>,
 }
 
 impl PairMeasurement {
@@ -172,17 +170,6 @@ impl PairMeasurement {
             self.dense.wall_per_event / self.opt.wall_per_event
         } else {
             0.0
-        }
-    }
-
-    /// Memo hit rate in percent (0 when the solver does not memoise).
-    #[must_use]
-    pub fn memo_hit_pct(&self) -> f64 {
-        match self.memo {
-            Some((hits, misses)) if hits + misses > 0 => {
-                100.0 * hits as f64 / (hits + misses) as f64
-            }
-            _ => 0.0,
         }
     }
 }
@@ -215,68 +202,12 @@ where
         opt.window(sample)?;
         dense.window(sample)?;
     }
-    let memo = opt.sim.memo_stats();
     Ok(PairMeasurement {
         opt: opt.cost(),
         dense: dense.cost(),
         opt_records: opt.records,
         dense_records: dense.records,
-        memo,
     })
-}
-
-/// One side of a [`measure_set`] measurement: its cost profile, its
-/// per-window records (for bit-identity checks), and its rate-memo
-/// counters when its solver memoises.
-pub struct SideMeasurement {
-    /// Steady-state cost (minimum wall-clock per event over windows).
-    pub cost: RunCost,
-    /// Per-window records, in window order.
-    pub records: Vec<Record>,
-    /// `(hits, misses)` of the side's rate memo, if any.
-    pub memo: Option<(u64, u64)>,
-}
-
-/// Measures any number of solver configurations on one circuit: every
-/// side is warmed up, then the timed windows are *interleaved* round
-/// robin (side 0, side 1, …, side 0, …) so slow machine-wide drift —
-/// frequency scaling, co-tenant load — hits every side alike and
-/// cancels out of the events/sec ratios. Each side keeps its minimum
-/// wall-clock per event over `repeats` windows (the noise floor).
-/// The generalisation of [`measure_pair`] the hotpath harness uses to
-/// time chunked vs scalar vs dense-reference in one pass.
-///
-/// # Errors
-///
-/// Propagates simulation errors from any side.
-pub fn measure_set<F>(
-    circuit: &Circuit,
-    configs: &[SimConfig],
-    warmup: u64,
-    sample: u64,
-    repeats: u64,
-    mut setup: F,
-) -> Result<Vec<SideMeasurement>, CoreError>
-where
-    F: FnMut(&mut Simulation<'_>) -> Result<(), CoreError>,
-{
-    let mut samplers = configs
-        .iter()
-        .map(|cfg| Sampler::new(circuit, cfg, warmup, &mut setup))
-        .collect::<Result<Vec<_>, _>>()?;
-    for _ in 0..repeats.max(1) {
-        for s in &mut samplers {
-            s.window(sample)?;
-        }
-    }
-    Ok(samplers
-        .into_iter()
-        .map(|s| SideMeasurement {
-            cost: s.cost(),
-            memo: s.sim.memo_stats(),
-            records: s.records,
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -344,54 +275,5 @@ mod tests {
         assert!(pair.opt.wall_per_event > 0.0);
         assert!(pair.dense.wall_per_event > 0.0);
         assert!(pair.speedup() > 0.0);
-        assert!((0.0..=100.0).contains(&pair.memo_hit_pct()));
-    }
-
-    #[test]
-    fn measure_set_interleaves_all_backends_bit_identically() {
-        use semsim_core::backend::BackendSpec;
-        use semsim_core::engine::SolverSpec;
-
-        let d = fig1_set().unwrap();
-        let mk = |spec: SolverSpec, backend: BackendSpec| {
-            SimConfig::new(5.0)
-                .with_seed(9)
-                .with_solver(spec)
-                .with_backend(backend)
-        };
-        let adaptive = SolverSpec::Adaptive {
-            threshold: 0.05,
-            refresh_interval: 500,
-        };
-        let dense = SolverSpec::AdaptiveDense {
-            threshold: 0.05,
-            refresh_interval: 500,
-        };
-        let sides = measure_set(
-            &d.circuit,
-            &[
-                mk(adaptive, BackendSpec::chunked()),
-                mk(adaptive, BackendSpec::Scalar),
-                mk(dense, BackendSpec::Scalar),
-            ],
-            200,
-            500,
-            2,
-            |sim| {
-                sim.set_lead_voltage(1, 20e-3)?;
-                sim.set_lead_voltage(2, -20e-3)
-            },
-        )
-        .unwrap();
-        assert_eq!(sides.len(), 3);
-        // All three sides share one seed: bit-identical trajectories.
-        assert_eq!(sides[0].records, sides[1].records);
-        assert_eq!(sides[0].records, sides[2].records);
-        for s in &sides {
-            assert!(s.cost.wall_per_event > 0.0);
-        }
-        // The optimized sides memoise; the dense reference bypasses.
-        assert!(sides[0].memo.is_some());
-        assert!(sides[1].memo.is_some());
     }
 }

@@ -34,6 +34,7 @@ use semsim_core::batch::{
 use semsim_core::circuit::{Circuit, CircuitBuilder, JunctionId};
 use semsim_core::engine::{SimConfig, SweepPoint};
 use semsim_core::journal::{scan, HEADER_LEN};
+use semsim_core::par::ParOpts;
 use semsim_core::CoreError;
 
 use crate::scenario::{Campaign, Fault, EVENTS, NTASKS, WARMUP};
@@ -263,7 +264,14 @@ fn faulted_execution(c: &Campaign, faults: &[Fault], dir: &Path) -> Result<Vec<S
             Fault::TornTail { .. } | Fault::BitRot { .. } | Fault::KillAfter { .. } => {}
         }
     }
+    // One worker: the journal's record order is completion order, and
+    // the file faults cut it at byte offsets. With several workers,
+    // scheduling decides which record a cut removes, which points a
+    // cancel reaches and which appends a full disk refuses — and a lost
+    // record of a retried point heals to the clean value, not the
+    // retried one. A campaign must be a pure function of its seed.
     let opts = BatchOpts {
+        par: ParOpts::with_threads(1),
         journal: Some(journal.clone()),
         cancel: cancel_at.map(|_| CancelToken::new()),
         fault_plan: Some(plan),

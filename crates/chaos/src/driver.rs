@@ -5,6 +5,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use semsim_check::{parse_json, Json};
 
@@ -220,8 +221,14 @@ fn parse_repro(text: &str) -> Result<Campaign, String> {
     })
 }
 
+/// A scratch directory private to one `run_campaigns`/`replay` call —
+/// process id plus a per-process counter — so concurrent runs in one
+/// process (the crate's tests) never share or delete each other's
+/// journals.
 fn scratch_root() -> PathBuf {
-    std::env::temp_dir().join(format!("semsim_chaos_{}", std::process::id()))
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("semsim_chaos_{}_{call}", std::process::id()))
 }
 
 /// Flattens a violation reason to one log line (logs are diffed

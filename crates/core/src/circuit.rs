@@ -74,16 +74,15 @@ pub struct Capacitor {
     pub capacitance: f64,
 }
 
-/// Flat structure-of-arrays junction buffers consumed by the compute
-/// backends ([`crate::backend`]): one contiguous slice per per-junction
-/// quantity, indexed by raw junction id. The chunked backend walks
-/// these slices in fixed-width lanes instead of chasing
-/// [`Junction`]/[`NodeId`] structs, and the charging coefficients are
-/// precomputed with exactly the arithmetic
+/// Flat structure-of-arrays junction buffers consumed by the adaptive
+/// solver's batched kernels: one contiguous slice per per-junction
+/// quantity, indexed by raw junction id. The kernels walk these slices
+/// instead of chasing [`Junction`]/[`NodeId`] structs, and the charging
+/// coefficients are precomputed with exactly the arithmetic
 /// [`crate::energy::delta_w`] would evaluate — so a ΔW assembled from
 /// these buffers is bit-identical to the scalar path.
 #[derive(Debug, Clone, Default)]
-pub struct JunctionSoA {
+pub(crate) struct JunctionSoA {
     /// Island index of `node_a` per junction; [`JunctionSoA::NONE`]
     /// when the terminal is a lead.
     pub a_island: Vec<u32>,
@@ -307,13 +306,6 @@ pub struct Circuit {
     lead_response: Matrix,
     /// Junctions incident to each node.
     node_junctions: Vec<Vec<JunctionId>>,
-    /// Neighbour junctions per junction for the adaptive BFS: junctions
-    /// incident to either terminal or to nodes capacitively adjacent to
-    /// either terminal.
-    junction_neighbors: Vec<Vec<JunctionId>>,
-    /// Junctions incident to each lead's capacitive neighbourhood — the
-    /// BFS seeds for an input-voltage step on that lead.
-    lead_seed_junctions: Vec<Vec<JunctionId>>,
     /// Sparsified dependency neighbourhood of each island: the
     /// junctions (ascending id order) whose ΔW changes by more than the
     /// sparsification threshold when that island's charge changes —
@@ -338,7 +330,7 @@ pub struct Circuit {
     /// Transpose of `lead_response` — same contiguity argument, for
     /// input-voltage steps.
     lead_response_t: Matrix,
-    /// Flat SoA junction buffers for the compute backends.
+    /// Flat SoA junction buffers for the batched kernels.
     junction_soa: JunctionSoA,
     /// Warning-severity findings from the static checks that ran during
     /// [`CircuitBuilder::build`] (ill-conditioned capacitance matrix,
@@ -455,80 +447,11 @@ impl Circuit {
             Matrix::zeros(0, n_leads)
         };
 
-        // Node-level incidence and capacitive adjacency.
+        // Node-level incidence.
         let mut node_junctions: Vec<Vec<JunctionId>> = vec![Vec::new(); n_nodes];
         for (idx, j) in b.junctions.iter().enumerate() {
             node_junctions[j.node_a.0].push(JunctionId(idx));
             node_junctions[j.node_b.0].push(JunctionId(idx));
-        }
-        // Capacitive adjacency between nodes, *island hops only*: leads
-        // are fixed-potential, so electrostatic influence never
-        // propagates through them — two junctions that share only a
-        // supply rail or ground do not perturb each other. Ignoring
-        // lead-mediated "adjacency" is what keeps neighbour lists local
-        // (paper Fig. 4: stages talk only through island-to-island
-        // coupling capacitors).
-        let is_island_node = |n: NodeId| matches!(b.nodes[n.0], NodeKind::Island(_));
-        let mut island_adjacent: Vec<Vec<NodeId>> = vec![Vec::new(); n_nodes];
-        let pairs = b
-            .junctions
-            .iter()
-            .map(|j| (j.node_a, j.node_b))
-            .chain(b.capacitors.iter().map(|c| (c.node_a, c.node_b)));
-        for (na, nb) in pairs {
-            if is_island_node(nb) {
-                island_adjacent[na.0].push(nb);
-            }
-            if is_island_node(na) {
-                island_adjacent[nb.0].push(na);
-            }
-        }
-
-        // Neighbour junctions: everything incident to my island
-        // terminals or to islands one capacitive hop away from them.
-        let mut junction_neighbors: Vec<Vec<JunctionId>> = Vec::with_capacity(b.junctions.len());
-        for (idx, j) in b.junctions.iter().enumerate() {
-            let mut seen = vec![false; b.junctions.len()];
-            let mut out = Vec::new();
-            let push_node = |node: NodeId, seen: &mut Vec<bool>, out: &mut Vec<JunctionId>| {
-                for &jj in &node_junctions[node.0] {
-                    if jj.0 != idx && !seen[jj.0] {
-                        seen[jj.0] = true;
-                        out.push(jj);
-                    }
-                }
-            };
-            for &terminal in &[j.node_a, j.node_b] {
-                if !is_island_node(terminal) {
-                    continue;
-                }
-                push_node(terminal, &mut seen, &mut out);
-                for &adj in &island_adjacent[terminal.0] {
-                    push_node(adj, &mut seen, &mut out);
-                }
-            }
-            junction_neighbors.push(out);
-        }
-
-        // Seeds for an input step on each lead: junctions touching the
-        // lead directly, plus junctions of islands coupled to the lead.
-        let mut lead_seed_junctions: Vec<Vec<JunctionId>> = Vec::with_capacity(n_leads);
-        for &node in lead_nodes.iter().take(n_leads) {
-            let mut seen = vec![false; b.junctions.len()];
-            let mut out = Vec::new();
-            let push_node = |node: NodeId, seen: &mut Vec<bool>, out: &mut Vec<JunctionId>| {
-                for &jj in &node_junctions[node.0] {
-                    if !seen[jj.0] {
-                        seen[jj.0] = true;
-                        out.push(jj);
-                    }
-                }
-            };
-            push_node(node, &mut seen, &mut out);
-            for &adj in island_adjacent[node.0].clone().iter() {
-                push_node(adj, &mut seen, &mut out);
-            }
-            lead_seed_junctions.push(out);
         }
 
         let mut circuit = Circuit {
@@ -545,8 +468,6 @@ impl Circuit {
             cext,
             lead_response,
             node_junctions,
-            junction_neighbors,
-            lead_seed_junctions,
             island_dependents: Vec::new(),
             lead_dependents: Vec::new(),
             lead_response_colmax: Vec::new(),
@@ -734,7 +655,7 @@ impl Circuit {
     }
 
     /// Transpose of `C⁻¹` — bitwise-equal entries, column-contiguous
-    /// layout for the chunked backend's per-event gathers.
+    /// layout for the testing kernel's per-event gathers.
     pub fn transposed_inverse_capacitance(&self) -> &Matrix {
         &self.cinv_t
     }
@@ -745,8 +666,8 @@ impl Circuit {
         &self.lead_response_t
     }
 
-    /// Flat SoA junction buffers consumed by the compute backends.
-    pub fn junction_soa(&self) -> &JunctionSoA {
+    /// Flat SoA junction buffers consumed by the batched kernels.
+    pub(crate) fn junction_soa(&self) -> &JunctionSoA {
         &self.junction_soa
     }
 
@@ -768,16 +689,6 @@ impl Circuit {
     /// Junctions incident to `node`.
     pub fn junctions_at(&self, node: NodeId) -> &[JunctionId] {
         &self.node_junctions[node.0]
-    }
-
-    /// Neighbour junctions of `j` for the adaptive BFS.
-    pub fn junction_neighbors(&self, j: JunctionId) -> &[JunctionId] {
-        &self.junction_neighbors[j.0]
-    }
-
-    /// BFS seed junctions for an input step on `lead`.
-    pub fn lead_seed_junctions(&self, lead: usize) -> &[JunctionId] {
-        &self.lead_seed_junctions[lead]
     }
 
     /// Relative threshold below which a `C⁻¹` (or lead-response)
@@ -934,40 +845,6 @@ mod tests {
         assert!(b.add_capacitor(i, i, 1e-18).is_err());
         assert!(b.add_capacitor(NodeId::GROUND, i, f64::INFINITY).is_err());
         assert!(b.add_junction(NodeId(99), i, 1e6, 1e-18).is_err());
-    }
-
-    #[test]
-    fn junction_neighbors_cover_shared_nodes() {
-        let (c, _, j1, j2) = paper_set();
-        assert!(c.junction_neighbors(j1).contains(&j2));
-        assert!(c.junction_neighbors(j2).contains(&j1));
-        assert!(!c.junction_neighbors(j1).contains(&j1));
-    }
-
-    #[test]
-    fn neighbors_cross_coupling_capacitors() {
-        // Two SET stages coupled only by a capacitor: each stage's
-        // junctions must still see the other stage's junctions that touch
-        // the coupled node (paper Fig. 4 locality structure).
-        let mut b = CircuitBuilder::new();
-        let i1 = b.add_island();
-        let i2 = b.add_island();
-        let ja = b.add_junction(NodeId::GROUND, i1, 1e6, 1e-18).unwrap();
-        let jb = b.add_junction(NodeId::GROUND, i2, 1e6, 1e-18).unwrap();
-        b.add_capacitor(i1, i2, 1e-17).unwrap();
-        let c = b.build().unwrap();
-        assert!(c.junction_neighbors(ja).contains(&jb));
-        assert!(c.junction_neighbors(jb).contains(&ja));
-    }
-
-    #[test]
-    fn lead_seeds_include_coupled_islands() {
-        let (c, _, j1, j2) = paper_set();
-        // Gate lead (index 3 in declaration order → lead index 3? ground
-        // =0, src=1, drn=2, gate=3). A step on the gate must seed both
-        // junctions of the SET.
-        let seeds = c.lead_seed_junctions(3);
-        assert!(seeds.contains(&j1) && seeds.contains(&j2));
     }
 
     #[test]

@@ -138,22 +138,6 @@ impl CircuitState {
         self.scratch_q = q;
     }
 
-    /// [`CircuitState::recompute_potentials`] routed through a compute
-    /// backend's matvec kernel. Every backend's matvec is bit-identical
-    /// to `Matrix::mul_vec_into`, so this is an equivalent entry point;
-    /// it exists so the adaptive solver's full refreshes go through the
-    /// backend under test/benchmark selection.
-    pub(crate) fn recompute_potentials_with(
-        &mut self,
-        circuit: &Circuit,
-        backend: &dyn crate::backend::Backend,
-    ) {
-        let mut q = std::mem::take(&mut self.scratch_q);
-        fill_charge_vector(circuit, &self.electrons, &self.lead_voltages, &mut q);
-        backend.matvec(circuit.inverse_capacitance(), &q, &mut self.phi);
-        self.scratch_q = q;
-    }
-
     /// Potential of a node: lead voltage for leads, cached `φ` for
     /// islands.
     #[inline]
@@ -395,6 +379,18 @@ mod tests {
         // At zero gate bias φ = 0, so ΔW is the pure charging term:
         // k²·e²/2C_Σ → factor 4 between 2e and 1e.
         assert!((dw2 / dw1 - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn island_free_circuit_has_zero_free_energy() {
+        // One lead→ground junction: no islands, so `C⁻¹` is 0×0.
+        let mut b = CircuitBuilder::new();
+        let lead = b.add_lead(1e-3);
+        b.add_junction(lead, NodeId::GROUND, 1e6, 1e-18).unwrap();
+        let c = b.build().unwrap();
+        assert_eq!(c.num_islands(), 0);
+        let s = CircuitState::new(&c);
+        assert_eq!(total_free_energy(&c, &s), 0.0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! event with probability proportional to its rate; (3) the event is
 //! applied and observables are recorded.
 
-use crate::backend::BackendSpec;
 use crate::checkpoint::{Checkpoint, ProbeSnapshot, SolverSnapshot};
 use crate::circuit::{Circuit, JunctionId, NodeId};
 use crate::constants::{thermal_energy, E_CHARGE};
@@ -49,10 +48,10 @@ pub enum SolverSpec {
     },
     /// [`SolverSpec::Adaptive`] in dense-reference mode: dependency
     /// neighbourhoods are recomputed from the dense matrices on every
-    /// event and the rate memo is bypassed. Produces bit-identical
-    /// output to `Adaptive` with the same parameters — kept as the
-    /// oracle the optimized hot path is validated (and benchmarked)
-    /// against.
+    /// event and every step runs per junction on the scalar functions
+    /// instead of the batched kernels. Produces bit-identical output to
+    /// `Adaptive` with the same parameters — kept as the oracle the
+    /// optimized hot path is validated (and benchmarked) against.
     AdaptiveDense {
         /// Testing threshold θ (typically 0.01–0.3).
         threshold: f64,
@@ -102,13 +101,6 @@ pub struct SimConfig {
     pub drift_tolerance: f64,
     /// Run supervisor limits (wall clock, event cap, blockade policy).
     pub supervisor: Supervisor,
-    /// Compute backend for the adaptive solver's hot-loop kernels.
-    /// Every backend produces bit-identical trajectories (see
-    /// [`crate::backend`]), so this is a pure performance knob; it is
-    /// ignored by [`SolverSpec::NonAdaptive`] and by
-    /// [`SolverSpec::AdaptiveDense`], which stays on the scalar
-    /// reference path as the bit-identity oracle.
-    pub backend: BackendSpec,
 }
 
 impl SimConfig {
@@ -126,7 +118,6 @@ impl SimConfig {
             audit_interval: None,
             drift_tolerance: 0.25,
             supervisor: Supervisor::default(),
-            backend: BackendSpec::default(),
         }
     }
 
@@ -184,12 +175,6 @@ impl SimConfig {
     /// Installs run supervisor limits.
     pub fn with_supervisor(mut self, supervisor: Supervisor) -> Self {
         self.supervisor = supervisor;
-        self
-    }
-
-    /// Selects the adaptive solver's compute backend (default scalar).
-    pub fn with_backend(mut self, backend: BackendSpec) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -339,12 +324,6 @@ impl<'c> Simulation<'c> {
                 });
             }
         }
-        if let BackendSpec::Chunked { width: 0 } = config.backend {
-            return Err(CoreError::InvalidConfig {
-                what: "backend chunk width",
-                value: 0.0,
-            });
-        }
         let kt = thermal_energy(config.temperature);
 
         let (model, super_info) = match &config.superconducting {
@@ -432,15 +411,13 @@ impl<'c> Simulation<'c> {
                     });
                 }
                 let s = AdaptiveSolver::new(circuit, threshold, refresh_interval);
-                // Dense-reference mode is the bit-identity oracle: keep
-                // it on the scalar kernels regardless of the configured
-                // backend.
-                let s = if matches!(config.solver, SolverSpec::AdaptiveDense { .. }) {
-                    s.with_dense_reference()
-                } else {
-                    s.with_backend(config.backend)
-                };
-                Solver::Adaptive(s)
+                Solver::Adaptive(
+                    if matches!(config.solver, SolverSpec::AdaptiveDense { .. }) {
+                        s.with_dense_reference()
+                    } else {
+                        s
+                    },
+                )
             }
         };
 
@@ -504,15 +481,6 @@ impl<'c> Simulation<'c> {
     /// The circuit being simulated.
     pub fn circuit(&self) -> &Circuit {
         self.circuit
-    }
-
-    /// Lifetime `(hits, misses)` of the adaptive solver's rate memo,
-    /// or `None` for the non-adaptive solver.
-    pub fn memo_stats(&self) -> Option<(u64, u64)> {
-        match &self.solver {
-            Solver::Adaptive(s) => Some(s.memo_stats()),
-            Solver::NonAdaptive(_) => None,
-        }
     }
 
     /// Immediately sets `lead` to `voltage`, updating rates through the

@@ -188,7 +188,7 @@ impl FenwickTree {
     /// Writes the first `ws.len()` slots of an **all-zero** tree in one
     /// batched pass, reproducing bit-for-bit the tree state that the
     /// canonical ascending call sequence `set(0, ws[0]) … set(k-1,
-    /// ws[k-1])` would leave behind. This is the chunked backend's
+    /// ws[k-1])` would leave behind. This is the adaptive solver's
     /// from-zero rebuild: each internal node covers a contiguous slot
     /// range, and the ascending sequence accumulates exactly those
     /// weights in slot order, so a left fold over the covered range

@@ -13,9 +13,6 @@
 //!
 //! * [`circuit`] — circuit topology (leads, islands, tunnel junctions,
 //!   capacitors) and the precomputed inverse capacitance matrix.
-//! * [`backend`] — compute backends for the solver hot loop: scalar
-//!   reference kernels and the SIMD-friendly chunked SoA kernels, with
-//!   a per-kernel bit-identity (or documented ULP) contract.
 //! * [`energy`] — free-energy changes ΔW for tunnel events (paper Eq. 2).
 //! * [`rates`] — the orthodox tunnel rate (Eq. 1) in numerically stable
 //!   form.
@@ -25,7 +22,9 @@
 //! * [`master`] — the paper's third method: a bounded-window
 //!   master-equation solver (device-level, noise-free reference).
 //! * [`solver`] — the non-adaptive (conventional MC) and adaptive
-//!   solvers.
+//!   solvers; the adaptive hot loop runs batched kernels over flat
+//!   structure-of-arrays junction buffers, bit-identical to the
+//!   per-junction scalar path its dense-reference mode keeps.
 //! * [`engine`] — the Monte Carlo event loop (Eq. 5), stimuli, recording
 //!   and sweeps.
 //! * [`health`] — numerical health guards, drift audits with graceful
@@ -71,7 +70,6 @@
 //! # }
 //! ```
 
-pub mod backend;
 pub mod batch;
 pub mod checkpoint;
 pub mod circuit;
@@ -93,5 +91,6 @@ pub mod superconduct;
 pub mod trace;
 
 mod error;
+mod kernels;
 
 pub use error::CoreError;

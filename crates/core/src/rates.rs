@@ -42,9 +42,9 @@ pub fn orthodox_rate(dw: f64, kt: f64, resistance: f64) -> f64 {
 
 /// Batched orthodox rates: appends `orthodox_rate(dw[i], kt,
 /// resistance[i])` to `out` for every lane. This is the contiguous-
-/// slice entry point the chunked compute backend feeds per chunk; each
-/// lane is the scalar [`orthodox_rate`], so the batch is bit-identical
-/// to a scalar loop.
+/// slice entry point the adaptive solver's rate kernel feeds from its
+/// SoA ΔW buffers; each lane is the scalar [`orthodox_rate`], so the
+/// batch is bit-identical to a scalar loop.
 ///
 /// # Panics
 ///

@@ -60,13 +60,13 @@ pub struct ResourceEstimate {
     pub coupling_bytes: u64,
     /// Row-sparsified `C⁻¹` view (entries + per-row headers).
     pub sparse_bytes: u64,
-    /// The five precomputed dependency/neighbourhood tables.
+    /// The three precomputed incidence/dependency tables.
     pub neighborhood_bytes: u64,
-    /// Compute-backend SoA buffers: the transposed `C⁻¹` and
-    /// lead-response matrices (contiguous per-event gather columns for
-    /// the chunked backend) plus the per-junction structure-of-arrays
-    /// (four `u32` index lanes, three `f64` lanes).
-    pub backend_bytes: u64,
+    /// Hot-loop kernel buffers: the transposed `C⁻¹` and lead-response
+    /// matrices (contiguous per-event gather columns for the testing
+    /// kernel) plus the per-junction structure-of-arrays (four `u32`
+    /// index lanes, three `f64` lanes).
+    pub kernel_bytes: u64,
     /// Journal append buffer allowance (constant).
     pub journal_buffer_bytes: u64,
 }
@@ -103,23 +103,14 @@ impl ResourceEstimate {
             .saturating_mul(SPARSE_ENTRY)
             .saturating_add(i.saturating_mul(VEC_HEADER));
         // Per table (locality model, dense-capped):
-        //   node_junctions      (islands+leads rows, 2·junctions total
-        //                        — each junction sits at two nodes)
-        //   junction_neighbors  (junctions rows, n_eff each)
-        //   lead_seed_junctions (leads rows, 2·n_eff each)
-        //   island_dependents   (islands rows, n_eff²/2 each)
-        //   lead_dependents     (leads rows, junctions each — every
-        //                        junction's ΔW sees every lead voltage)
-        let rows = i
-            .saturating_add(l)
-            .saturating_add(j)
-            .saturating_add(l)
-            .saturating_add(i)
-            .saturating_add(l);
+        //   node_junctions    (islands+leads rows, 2·junctions total
+        //                      — each junction sits at two nodes)
+        //   island_dependents (islands rows, n_eff²/2 each)
+        //   lead_dependents   (leads rows, junctions each — every
+        //                      junction's ΔW sees every lead voltage)
+        let rows = i.saturating_add(l).saturating_add(i).saturating_add(l);
         let entries = 2u64
             .saturating_mul(j)
-            .saturating_add(j.saturating_mul(n_eff))
-            .saturating_add(l.saturating_mul(j.min(2u64.saturating_mul(n_eff))))
             .saturating_add(i.saturating_mul(j.min((sq(n_eff) / 2).max(n_eff))))
             .saturating_add(l.saturating_mul(j));
         let neighborhood_bytes = entries
@@ -133,7 +124,7 @@ impl ResourceEstimate {
             coupling_bytes,
             sparse_bytes,
             neighborhood_bytes,
-            backend_bytes: backend_soa_bytes(i, l, j),
+            kernel_bytes: kernel_soa_bytes(i, l, j),
             journal_buffer_bytes: JOURNAL_BUFFER,
         }
     }
@@ -161,11 +152,7 @@ impl ResourceEstimate {
         for node in 0..circuit.num_nodes() {
             table(circuit.junctions_at(crate::circuit::NodeId(node)).len());
         }
-        for j in circuit.junction_ids() {
-            table(circuit.junction_neighbors(j).len());
-        }
         for lead in 0..circuit.num_leads() {
-            table(circuit.lead_seed_junctions(lead).len());
             table(circuit.lead_dependents(lead).len());
         }
         for island in 0..circuit.num_islands() {
@@ -173,7 +160,7 @@ impl ResourceEstimate {
         }
         let neighborhood_bytes = entries * F64 + rows * VEC_HEADER;
         let soa = circuit.junction_soa();
-        let backend_bytes = mat(circuit.transposed_inverse_capacitance())
+        let kernel_bytes = mat(circuit.transposed_inverse_capacitance())
             + mat(circuit.transposed_lead_response())
             + 4 * (soa.a_island.len() as u64)
             + 4 * (soa.b_island.len() as u64)
@@ -191,7 +178,7 @@ impl ResourceEstimate {
             coupling_bytes,
             sparse_bytes,
             neighborhood_bytes,
-            backend_bytes,
+            kernel_bytes,
             journal_buffer_bytes: JOURNAL_BUFFER,
         }
     }
@@ -203,7 +190,7 @@ impl ResourceEstimate {
             .saturating_add(self.coupling_bytes)
             .saturating_add(self.sparse_bytes)
             .saturating_add(self.neighborhood_bytes)
-            .saturating_add(self.backend_bytes)
+            .saturating_add(self.kernel_bytes)
             .saturating_add(self.journal_buffer_bytes)
     }
 
@@ -223,12 +210,12 @@ impl ResourceEstimate {
     pub fn breakdown(&self) -> String {
         format!(
             "C and C⁻¹ {}, lead coupling {}, sparse C⁻¹ {}, \
-             neighborhood tables {}, backend SoA {}, journal buffer {}",
+             neighborhood tables {}, kernel SoA {}, journal buffer {}",
             fmt_bytes(self.dense_matrix_bytes),
             fmt_bytes(self.coupling_bytes),
             fmt_bytes(self.sparse_bytes),
             fmt_bytes(self.neighborhood_bytes),
-            fmt_bytes(self.backend_bytes),
+            fmt_bytes(self.kernel_bytes),
             fmt_bytes(self.journal_buffer_bytes),
         )
     }
@@ -252,12 +239,12 @@ impl ResourceEstimate {
     }
 }
 
-/// Bytes of the compute-backend SoA structures, exact from counts
+/// Bytes of the hot-loop kernel buffers, exact from counts
 /// alone: the transposed `C⁻¹` (`islands²` of `f64`), the transposed
 /// lead-response matrix (`leads × islands` of `f64`), and the
 /// per-junction SoA (four `u32` lanes + three `f64` lanes, each
 /// `junctions` long, in seven `Vec`s).
-fn backend_soa_bytes(islands: u64, leads: u64, junctions: u64) -> u64 {
+fn kernel_soa_bytes(islands: u64, leads: u64, junctions: u64) -> u64 {
     let cinv_t = islands.saturating_mul(islands).saturating_mul(F64);
     let lead_response_t = leads.saturating_mul(islands).saturating_mul(F64);
     let soa_lanes = junctions.saturating_mul(4 * 4 + 3 * F64);
@@ -347,9 +334,9 @@ mod tests {
         // Dense blocks are exact by construction.
         assert_eq!(predicted.dense_matrix_bytes, measured.dense_matrix_bytes);
         assert_eq!(predicted.coupling_bytes, measured.coupling_bytes);
-        // Backend SoA sizes depend only on counts: exact too.
-        assert_eq!(predicted.backend_bytes, measured.backend_bytes);
-        assert!(predicted.backend_bytes > 0);
+        // Kernel SoA sizes depend only on counts: exact too.
+        assert_eq!(predicted.kernel_bytes, measured.kernel_bytes);
+        assert!(predicted.kernel_bytes > 0);
         // The whole estimate stays within ±20 % (the tentpole's
         // contract; dense-coupling is exact here, headers dominate).
         let (p, m) = (
@@ -381,7 +368,7 @@ mod tests {
                 assert_eq!(limit, 1024);
                 assert!(breakdown.contains("C and C⁻¹"));
                 assert!(breakdown.contains("neighborhood tables"));
-                assert!(breakdown.contains("backend SoA"));
+                assert!(breakdown.contains("kernel SoA"));
                 assert!(breakdown.contains("journal buffer"));
             }
             other => panic!("wrong error: {other}"),

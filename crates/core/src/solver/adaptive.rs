@@ -16,16 +16,10 @@
 //! refresh already drops, so skipping them adds no new approximation
 //! class.
 //!
-//! Rate *values* are additionally memoised: for a fixed model and
-//! temperature the rate is a pure function of `(ΔW, R)`, and a junction
-//! toggling between a handful of charge configurations keeps
-//! re-deriving the same ΔW bit patterns. An [`EvalMemo`] keyed on the
-//! exact bit pattern serves those repeats without touching the
-//! exponential/table evaluation — hits return the exact previously
-//! computed value, so memoisation cannot perturb a trajectory.
-//!
-//! A `dense_reference` mode evaluates neighbourhood membership from the
-//! dense matrices per event (and bypasses the memo); it is the
+//! The optimized path runs the batched kernels of `crate::kernels` over
+//! flat structure-of-arrays junction buffers. A `dense_reference` mode
+//! evaluates neighbourhood membership from the dense matrices per event
+//! and runs every step in its per-junction scalar form; it is the
 //! bit-identity oracle the optimized path is validated against.
 //!
 //! ## Exactness bookkeeping
@@ -42,20 +36,13 @@
 //! not even tested), all rates are additionally recomputed every
 //! `refresh_interval` events, as the paper prescribes.
 
-use semsim_quad::EvalMemo;
-
-use crate::backend::{Backend, BackendSpec, Disturbance, ReplayEntry};
 use crate::circuit::{Circuit, JunctionId, NodeId};
-use crate::energy::{delta_w, lead_step_delta, potential_delta, CircuitState};
+use crate::energy::{lead_step_delta, potential_delta, CircuitState};
 use crate::fenwick::FenwickTree;
 use crate::health::{screen_finite, screen_rate, FaultStage};
+use crate::kernels::{self, Disturbance, ReplayEntry};
 use crate::solver::{write_junction_rates, SolverContext, StateChange};
 use crate::CoreError;
-
-/// Entries kept per junction in the rate memo. Toggling circuits
-/// revisit only a few charge configurations per junction; eight ways
-/// cover them with room for transients.
-const MEMO_WAYS: usize = 8;
 
 /// Counters describing the work the adaptive solver actually performed
 /// — the quantities behind the paper's Fig. 6 speedup argument.
@@ -94,17 +81,10 @@ pub struct AdaptiveSolver {
     events_since_refresh: u64,
     stats: AdaptiveStats,
     /// Reference mode: evaluate dependency membership from the dense
-    /// matrices per event and bypass the rate memo. Must produce
-    /// bit-identical trajectories to the optimized path.
+    /// matrices per event and run the per-junction scalar path instead
+    /// of the batched kernels. Must produce bit-identical trajectories
+    /// to the optimized path.
     dense_reference: bool,
-    /// Per-junction memo of `ΔW → Γ` evaluations (one slot per
-    /// junction; both directions share a slot — the rate is the same
-    /// pure function either way).
-    memo: EvalMemo,
-    /// Compute backend for the hot-loop kernels. Every trajectory
-    /// kernel is bit-identical across backends, so this is a pure
-    /// performance selection.
-    backend: Box<dyn Backend>,
     /// Materialized per-event recompute set (ascending) — reused
     /// allocation.
     tested_scratch: Vec<JunctionId>,
@@ -137,8 +117,6 @@ impl AdaptiveSolver {
             events_since_refresh: 0,
             stats: AdaptiveStats::default(),
             dense_reference: false,
-            memo: EvalMemo::new(nj, MEMO_WAYS),
-            backend: BackendSpec::Scalar.instantiate(),
             tested_scratch: Vec::new(),
             flagged_scratch: Vec::new(),
             gfw_scratch: Vec::new(),
@@ -147,24 +125,12 @@ impl AdaptiveSolver {
         }
     }
 
-    /// Selects the compute backend. Trajectories are bit-identical for
-    /// every backend; dense-reference mode ignores the selection and
-    /// keeps the scalar kernels (it is the oracle).
-    pub fn with_backend(mut self, spec: BackendSpec) -> Self {
-        self.backend = spec.instantiate();
-        self
-    }
-
-    /// Name of the active compute backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Switches this solver to dense-reference mode: dependency
     /// membership is recomputed from the dense `C⁻¹`/lead-response
-    /// matrices on every event and the rate memo is bypassed. Slower,
-    /// but free of precomputed structure — the oracle the optimized
-    /// path is asserted bit-identical against.
+    /// matrices on every event, and tests, rate writes and the replay
+    /// fold run per junction on the scalar functions. Slower, but free
+    /// of precomputed structure and batched kernels — the oracle the
+    /// optimized path is asserted bit-identical against.
     pub fn with_dense_reference(mut self) -> Self {
         self.dense_reference = true;
         self
@@ -173,11 +139,6 @@ impl AdaptiveSolver {
     /// Is this solver in dense-reference mode?
     pub fn is_dense_reference(&self) -> bool {
         self.dense_reference
-    }
-
-    /// Lifetime `(hits, misses)` of the rate memo.
-    pub fn memo_stats(&self) -> (u64, u64) {
-        self.memo.stats()
     }
 
     /// The threshold `θ`.
@@ -214,17 +175,22 @@ impl AdaptiveSolver {
         if pending > circuit.num_islands() {
             state.phi[island] = state.exact_island_potential(circuit, island);
         } else {
-            // The fold runs on the compute backend: per-entry deltas
-            // ([`ReplayEntry::delta`] — the exact `potential_delta` /
-            // `lead_step_delta` expressions over pre-resolved indices)
-            // accumulated in strict log order, so every backend
-            // produces the same bits the historical per-entry loop did.
-            state.phi[island] = self.backend.replay_fold(
-                circuit.inverse_capacitance().row(island),
-                circuit.lead_response().row(island),
-                &self.log[from_idx..],
-                state.phi[island],
-            );
+            // Per-entry deltas ([`ReplayEntry::delta`] — the exact
+            // `potential_delta` / `lead_step_delta` expressions over
+            // pre-resolved indices) accumulated in strict log order:
+            // the batched kernel and the oracle's plain fold produce
+            // the same bits.
+            let cinv_row = circuit.inverse_capacitance().row(island);
+            let lead_row = circuit.lead_response().row(island);
+            let entries = &self.log[from_idx..];
+            let phi = state.phi[island];
+            state.phi[island] = if self.dense_reference {
+                entries
+                    .iter()
+                    .fold(phi, |phi, e| phi + e.delta(cinv_row, lead_row))
+            } else {
+                kernels::replay_fold(cinv_row, lead_row, entries, phi)
+            };
         }
         self.applied[island] = self.log.len();
         screen_finite(FaultStage::IslandPotential, Some(island), state.phi[island])?;
@@ -255,10 +221,10 @@ impl AdaptiveSolver {
     ) -> Result<(), CoreError> {
         // Establish the exact-potential invariant the replay log
         // maintains from here on.
-        state.recompute_potentials_with(ctx.circuit, &*self.backend);
+        state.recompute_potentials(ctx.circuit);
         // The rate table is freshly zeroed at construction, so the
-        // initial rewrite may use the backend's from-zero batched
-        // Fenwick rebuild.
+        // initial rewrite may use the from-zero batched Fenwick
+        // rebuild.
         self.full_refresh(ctx, state, rates, true)?;
         // initialize() is not a "refresh" in the statistics sense.
         self.stats.full_refreshes = self.stats.full_refreshes.saturating_sub(1);
@@ -280,7 +246,7 @@ impl AdaptiveSolver {
                 self.refresh_island(circuit, state, island)?;
             }
         } else {
-            state.recompute_potentials_with(circuit, &*self.backend);
+            state.recompute_potentials(circuit);
         }
         self.log.clear();
         self.applied.iter_mut().for_each(|a| *a = 0);
@@ -293,20 +259,20 @@ impl AdaptiveSolver {
     /// Recomputes every junction's rates from the current potentials in
     /// canonical (ascending) order, resetting the `ΔW'`/`b₀` caches.
     ///
-    /// The optimized path batches through the compute backend: all ΔW
-    /// from the SoA buffers, then all directed rates, then per-junction
-    /// screening and slot writes in the exact scalar order — so values,
-    /// write sequence and the surfaced error (first failing junction,
-    /// same fault stage) are identical to the historical per-junction
-    /// loop. `rates_from_zero` marks the rate table as freshly zeroed
-    /// (solver construction), enabling the backend's batched Fenwick
-    /// rebuild; periodic refreshes and resyncs overwrite slots
-    /// incrementally and must pass `false`. Dense-reference mode (and
-    /// fault-injected runs) keep the uncached scalar loop.
+    /// The optimized path runs the batched kernels: all ΔW from the SoA
+    /// buffers, then all directed rates, then per-junction screening
+    /// and slot writes in the exact scalar order — so values, write
+    /// sequence and the surfaced error (first failing junction, same
+    /// fault stage) are identical to the per-junction loop.
+    /// `rates_from_zero` marks the rate table as freshly zeroed (solver
+    /// construction), enabling the batched Fenwick rebuild; periodic
+    /// refreshes and resyncs overwrite slots incrementally and must
+    /// pass `false`. Dense-reference mode (and fault-injected runs)
+    /// keep the per-junction [`write_junction_rates`] loop.
     fn rewrite_all_rates(
         &mut self,
         ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
+        state: &CircuitState,
         rates: &mut FenwickTree,
         rates_from_zero: bool,
     ) -> Result<(), CoreError> {
@@ -317,7 +283,7 @@ impl AdaptiveSolver {
         let use_reference = self.dense_reference;
         if use_reference {
             for j in circuit.junction_ids() {
-                let (dw_fw, dw_bw) = self.write_rates_cached(ctx, state, rates, j)?;
+                let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
                 self.dw_fw[j.index()] = dw_fw;
                 self.dw_bw[j.index()] = dw_bw;
                 self.b0[j.index()] = 0.0;
@@ -325,8 +291,8 @@ impl AdaptiveSolver {
             self.stats.rate_recalcs += circuit.num_junctions() as u64;
             return Ok(());
         }
-        let soa = circuit.junction_soa();
-        self.backend.delta_w_all(
+        let resistance = &circuit.junction_soa().resistance;
+        kernels::delta_w_all(
             circuit,
             &state.phi,
             state.lead_voltages(),
@@ -335,10 +301,8 @@ impl AdaptiveSolver {
         );
         let mut gfw = std::mem::take(&mut self.gfw_scratch);
         let mut gbw = std::mem::take(&mut self.gbw_scratch);
-        self.backend
-            .tunnel_rates(ctx.model, ctx.kt, &self.dw_fw, &soa.resistance, &mut gfw);
-        self.backend
-            .tunnel_rates(ctx.model, ctx.kt, &self.dw_bw, &soa.resistance, &mut gbw);
+        kernels::tunnel_rates(ctx.model, ctx.kt, &self.dw_fw, resistance, &mut gfw);
+        kernels::tunnel_rates(ctx.model, ctx.kt, &self.dw_bw, resistance, &mut gbw);
         let mut weights = std::mem::take(&mut self.weights_scratch);
         weights.clear();
         for j in circuit.junction_ids() {
@@ -365,68 +329,13 @@ impl AdaptiveSolver {
             self.b0[idx] = 0.0;
         }
         if rates_from_zero {
-            self.backend.fenwick_rebuild(rates, &weights);
+            rates.rebuild_from_zero(&weights);
         }
         self.weights_scratch = weights;
         self.gfw_scratch = gfw;
         self.gbw_scratch = gbw;
         self.stats.rate_recalcs += circuit.num_junctions() as u64;
         Ok(())
-    }
-
-    /// Writes both directed rates of `j`, serving repeated `ΔW` bit
-    /// patterns from the memo. A memo hit returns the exact value the
-    /// rate function previously computed for that bit pattern, so this
-    /// is bit-identical to [`write_junction_rates`]; dense-reference
-    /// mode and fault-injected junctions take that uncached path
-    /// directly.
-    fn write_rates_cached(
-        &mut self,
-        ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
-        rates: &mut FenwickTree,
-        j: JunctionId,
-    ) -> Result<(f64, f64), CoreError> {
-        if self.dense_reference {
-            return write_junction_rates(ctx, state, rates, j);
-        }
-        #[cfg(feature = "fault-inject")]
-        if ctx.poison_rate == Some(j.index()) {
-            return write_junction_rates(ctx, state, rates, j);
-        }
-        let circuit = ctx.circuit;
-        let junction = *circuit.junction(j);
-        let dw_fw = delta_w(circuit, state, junction.node_a, junction.node_b, 1);
-        let dw_bw = delta_w(circuit, state, junction.node_b, junction.node_a, 1);
-        let jx = Some(j.index());
-        screen_finite(FaultStage::FreeEnergy, jx, dw_fw)?;
-        screen_finite(FaultStage::FreeEnergy, jx, dw_bw)?;
-        let idx = j.index();
-        let g_fw = match self.memo.get(idx, dw_fw) {
-            Some(g) => g,
-            None => {
-                let g = ctx.directed_rate(&junction, dw_fw);
-                self.memo.insert(idx, dw_fw, g);
-                g
-            }
-        };
-        let g_bw = match self.memo.get(idx, dw_bw) {
-            Some(g) => g,
-            None => {
-                let g = ctx.directed_rate(&junction, dw_bw);
-                self.memo.insert(idx, dw_bw, g);
-                g
-            }
-        };
-        rates.set(
-            ctx.layout.tunnel_slot(j, true),
-            screen_rate(FaultStage::TunnelRate, jx, g_fw)?,
-        );
-        rates.set(
-            ctx.layout.tunnel_slot(j, false),
-            screen_rate(FaultStage::TunnelRate, jx, g_bw)?,
-        );
-        Ok((dw_fw, dw_bw))
     }
 
     /// Discards the replay log and every cache, recomputing potentials
@@ -439,13 +348,9 @@ impl AdaptiveSolver {
         state: &mut CircuitState,
         rates: &mut FenwickTree,
     ) -> Result<(), CoreError> {
-        state.recompute_potentials_with(ctx.circuit, &*self.backend);
+        state.recompute_potentials(ctx.circuit);
         self.log.clear();
         self.applied.iter_mut().for_each(|a| *a = 0);
-        // A resync re-establishes state from external data (checkpoint
-        // restore, drift-audit repair); drop memoised rates so the
-        // rebuilt table owes nothing to pre-resync history.
-        self.memo.clear();
         // The rate table may hold pre-resync values — overwrite
         // incrementally, never the from-zero rebuild.
         self.rewrite_all_rates(ctx, state, rates, false)?;
@@ -458,9 +363,6 @@ impl AdaptiveSolver {
     /// drift audit), returning the new value.
     pub(crate) fn tighten_threshold(&mut self) -> f64 {
         self.threshold *= 0.5;
-        // Conservative: the audit just found drift, so discard every
-        // cached evaluation along with the looser threshold.
-        self.memo.clear();
         self.threshold
     }
 
@@ -468,7 +370,6 @@ impl AdaptiveSolver {
     /// may have been tightened below the configured one).
     pub(crate) fn set_threshold(&mut self, threshold: f64) {
         self.threshold = threshold;
-        self.memo.clear();
     }
 
     /// Overwrites the work counters (checkpoint restore).
@@ -487,9 +388,10 @@ impl AdaptiveSolver {
     }
 
     /// Exact potential change of `node` caused by one log entry (0 for
-    /// leads except the stepped lead itself).
+    /// leads except the stepped lead itself) — the oracle's scalar
+    /// form of the testing kernel's per-terminal delta.
     #[inline]
-    fn node_delta(circuit: &Circuit, entry: Disturbance, node: NodeId) -> f64 {
+    pub(crate) fn node_delta(circuit: &Circuit, entry: Disturbance, node: NodeId) -> f64 {
         match entry {
             Disturbance::Transfer { from, to, count } => match circuit.island_index(node) {
                 Some(k) => potential_delta(circuit, k, from, to, count),
@@ -540,8 +442,8 @@ impl AdaptiveSolver {
         // are unaffected unless their own islands couple.
         //
         // The optimized path materializes the recompute set and hands
-        // it to the compute backend's testing kernel; the junctions it
-        // flags are then recomputed in ascending order. This evaluates
+        // it to the batched testing kernel; the junctions it flags are
+        // then recomputed in ascending order. This evaluates
         // the same tests, in the same order, with the same arithmetic
         // as the historical interleaved loop — tests read only
         // `b₀`/`ΔW'` and build-time matrices, never the quantities a
@@ -617,7 +519,7 @@ impl AdaptiveSolver {
         Ok(())
     }
 
-    /// Runs the backend testing kernel over the materialized recompute
+    /// Runs the batched testing kernel over the materialized recompute
     /// set and recomputes the rates of every flagged junction in
     /// ascending order — the batched equivalent of calling
     /// [`AdaptiveSolver::test_junction`] per member.
@@ -632,7 +534,7 @@ impl AdaptiveSolver {
         self.stats.junctions_tested += tested.len() as u64;
         let mut flagged = std::mem::take(&mut self.flagged_scratch);
         flagged.clear();
-        self.backend.test_factors(
+        kernels::test_factors(
             ctx.circuit,
             entry,
             &tested,
@@ -644,7 +546,7 @@ impl AdaptiveSolver {
         );
         for &j in &flagged {
             self.refresh_junction_nodes(ctx.circuit, state, j)?;
-            let (dw_fw, dw_bw) = self.write_rates_cached(ctx, state, rates, j)?;
+            let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
             let idx = j.index();
             self.dw_fw[idx] = dw_fw;
             self.dw_bw[idx] = dw_bw;
@@ -682,7 +584,7 @@ impl AdaptiveSolver {
         let gate = self.threshold * self.dw_fw[idx].abs().min(self.dw_bw[idx].abs());
         if b.abs() >= gate {
             self.refresh_junction_nodes(circuit, state, j)?;
-            let (dw_fw, dw_bw) = self.write_rates_cached(ctx, state, rates, j)?;
+            let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
             self.dw_fw[idx] = dw_fw;
             self.dw_bw[idx] = dw_bw;
             self.b0[idx] = 0.0;

@@ -19,7 +19,7 @@ mod nonadaptive;
 pub use adaptive::{AdaptiveSolver, AdaptiveStats};
 pub use nonadaptive::NonAdaptiveSolver;
 
-use crate::circuit::{Circuit, Junction, JunctionId};
+use crate::circuit::{Circuit, JunctionId};
 use crate::energy::{delta_w, CircuitState};
 use crate::events::RateLayout;
 use crate::fenwick::FenwickTree;
@@ -97,19 +97,6 @@ impl<'a> SolverContext<'a> {
             g_fw = f64::NAN;
         }
         (dw_fw, g_fw, dw_bw, g_bw)
-    }
-
-    /// Evaluates one directed rate from an already-computed `ΔW` — the
-    /// same arithmetic as one direction of
-    /// [`SolverContext::junction_rates`], with no fault injection. This
-    /// is the memoised quantity: for a fixed model and temperature the
-    /// rate is a pure function of `(ΔW, R)`.
-    #[inline]
-    pub fn directed_rate(&self, junction: &Junction, dw: f64) -> f64 {
-        match self.model {
-            TunnelModel::Normal => orthodox_rate(dw, self.kt, junction.resistance),
-            TunnelModel::Quasiparticle(table) => table.rate(dw, junction.resistance),
-        }
     }
 }
 

@@ -144,24 +144,16 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.cols()`.
     pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if x.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: (x.len(), 1),
-            });
-        }
-        Ok(self
-            .data
-            .chunks_exact(self.cols)
-            .map(|row| crate::dot(row, x))
-            .collect())
+        let mut out = Vec::with_capacity(self.rows);
+        self.mul_vec_into(x, &mut out)?;
+        Ok(out)
     }
 
     /// Matrix–vector product `self · x` written into `out`, reusing its
-    /// allocation. Produces exactly the values of [`Matrix::mul_vec`]
-    /// (same per-row dot products, same order) without allocating — the
-    /// hot-path variant used by the simulator's per-event potential
-    /// recomputation.
+    /// allocation: the per-row dot products of [`Matrix::mul_vec`]
+    /// without allocating — the hot-path variant used by the
+    /// simulator's potential recomputation. An `n × 0` matrix yields
+    /// `n` zeros (every row sum is empty).
     ///
     /// # Errors
     ///
@@ -174,7 +166,8 @@ impl Matrix {
             });
         }
         out.clear();
-        if self.rows == 0 {
+        if self.cols == 0 {
+            out.resize(self.rows, 0.0);
             return Ok(());
         }
         out.extend(
@@ -360,6 +353,18 @@ mod tests {
         }
         let mut short = Vec::new();
         assert!(m.mul_vec_into(&[1.0], &mut short).is_err());
+    }
+
+    #[test]
+    fn mul_vec_on_zero_column_matrices_returns_row_zeros() {
+        for rows in [0, 2] {
+            let m = Matrix::zeros(rows, 0);
+            assert_eq!(m.mul_vec(&[]).unwrap(), vec![0.0; rows]);
+            let mut out = vec![99.0; 3];
+            m.mul_vec_into(&[], &mut out).unwrap();
+            assert_eq!(out, vec![0.0; rows]);
+            assert!(m.mul_vec(&[1.0]).is_err());
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! line-scoped when it trails a directive.
 
 use crate::ParseError;
-use semsim_core::backend::BackendSpec;
 
 /// A `junc` declaration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,11 +207,6 @@ pub struct CircuitFile {
     pub seed: Option<u64>,
     /// Default journal path for batch execution (`journal` directive).
     pub journal: Option<String>,
-    /// Compute backend for the adaptive solver hot loop. Not a netlist
-    /// directive (trajectories are backend-invariant, so it is not part
-    /// of the circuit's physics): the CLI sets this from `--backend`
-    /// after parsing.
-    pub backend: BackendSpec,
     /// Mid-run voltage steps (`jump` directives) in file order.
     pub stimuli: Vec<JumpDecl>,
     /// Potential probes (`probe` directives) in file order.
@@ -225,8 +219,7 @@ pub struct CircuitFile {
 
 impl PartialEq for CircuitFile {
     fn eq(&self, other: &Self) -> bool {
-        // Every field except `spans` (layout) and `backend` (a CLI
-        // override, not a parsed directive): two files that parse to
+        // Every field except `spans` (layout): two files that parse to
         // the same circuit are equal regardless of layout.
         self.junctions == other.junctions
             && self.capacitors == other.capacitors
@@ -272,7 +265,6 @@ impl Default for CircuitFile {
             adaptive: None,
             seed: None,
             journal: None,
-            backend: BackendSpec::default(),
             stimuli: Vec::new(),
             probes: Vec::new(),
             allows: Vec::new(),

@@ -204,7 +204,6 @@ impl CircuitFile {
         if let Some(seed) = self.seed {
             cfg = cfg.with_seed(seed);
         }
-        cfg = cfg.with_backend(self.backend);
         Ok(cfg)
     }
 

@@ -12,9 +12,7 @@
 //! * physics helpers: [`fermi`], [`bcs_dos`], [`bcs_gap`],
 //!   [`occupancy_factor`] (a numerically stable `x / expm1(x)`);
 //! * [`LookupTable`] — monotone-grid linear interpolation used to cache
-//!   expensive rate functions during Monte Carlo runs;
-//! * [`EvalMemo`] — bit-exact set-associative memoisation of repeated
-//!   rate evaluations on the Monte Carlo hot path.
+//!   expensive rate functions during Monte Carlo runs.
 //!
 //! # Example
 //!
@@ -27,12 +25,10 @@
 
 mod bcs;
 mod integrate;
-mod memo;
 mod stable;
 mod table;
 
 pub use bcs::{bcs_dos, bcs_gap, fermi, BCS_GAP_TANH_COEFF};
 pub use integrate::{adaptive_simpson, gauss_legendre, tanh_sinh};
-pub use memo::EvalMemo;
 pub use stable::{log1p_exp, occupancy_factor};
 pub use table::{LookupTable, TableError};

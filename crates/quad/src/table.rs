@@ -219,8 +219,7 @@ impl LookupTable {
     ///
     /// Appends one value per query to `out`. Each lane is evaluated by
     /// the scalar `eval`, so the batch is bit-identical to looping over
-    /// the queries — this is the contiguous-slice entry point the
-    /// chunked compute backend feeds from its SoA ΔW buffers.
+    /// the queries.
     pub fn eval_batch(&self, queries: &[f64], out: &mut Vec<f64>) {
         out.reserve(queries.len());
         out.extend(queries.iter().map(|&x| self.eval(x)));

@@ -14,7 +14,6 @@
 
 use std::path::{Path, PathBuf};
 
-use semsim_core::backend::BackendSpec;
 use semsim_core::batch::{batch_ensemble, BatchOpts};
 use semsim_core::constants::{thermal_energy, E_CHARGE};
 use semsim_core::engine::{RunLength, SimConfig, SolverSpec};
@@ -52,11 +51,6 @@ pub struct RunOptions {
     pub journal: Option<PathBuf>,
     /// Restore journaled replicas instead of recomputing them.
     pub resume: bool,
-    /// Compute backend for the adaptive solver. Cannot change results
-    /// (backends are bit-identical; see `semsim_core::backend`), so a
-    /// chunked validation run doubles as an end-to-end equivalence
-    /// gate against the committed reference table.
-    pub backend: BackendSpec,
 }
 
 /// One validated grid point, with everything needed to restate its
@@ -179,7 +173,7 @@ pub fn run_points(points: &[GridPoint], opts: &RunOptions) -> Result<Vec<PointRe
         .enumerate()
         .map(|(idx, p)| match p {
             GridPoint::Set(s) => run_set_point(idx, s, threads, opts),
-            GridPoint::Logic(l) => run_logic_point(l, threads, opts.backend),
+            GridPoint::Logic(l) => run_logic_point(l, threads),
         })
         .collect()
 }
@@ -210,8 +204,7 @@ fn run_set_point(
     let mk_cfg = |solver: SolverSpec, seed: u64| {
         let mut cfg = SimConfig::new(p.temperature)
             .with_seed(seed)
-            .with_solver(solver)
-            .with_backend(opts.backend);
+            .with_solver(solver);
         if let Some(sc) = p.superconducting {
             // The engine sizes its quasi-particle rate table from the
             // lead voltages at construction time, but the batch layer
@@ -301,11 +294,7 @@ fn run_set_point(
     })
 }
 
-fn run_logic_point(
-    p: &LogicPoint,
-    threads: usize,
-    backend: BackendSpec,
-) -> Result<PointResult, String> {
+fn run_logic_point(p: &LogicPoint, threads: usize) -> Result<PointResult, String> {
     let logic = p.benchmark.logic();
     let params = SetLogicParams::default();
     let elab = elaborate(&logic, &params)
@@ -318,8 +307,7 @@ fn run_logic_point(
     let run = |solver: SolverSpec, seed: u64| -> Option<f64> {
         let cfg = SimConfig::new(params.temperature)
             .with_seed(seed)
-            .with_solver(solver)
-            .with_backend(backend);
+            .with_solver(solver);
         measure_delay_avg(
             &elab,
             &logic,

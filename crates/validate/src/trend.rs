@@ -2,14 +2,11 @@
 //!
 //! Wall-clock numbers never enter the byte-stable validation outputs;
 //! they live here, appended per commit to
-//! `results/BENCH_validate.json`. Each record carries three
-//! quantities:
+//! `results/BENCH_validate.json`. Each record carries two quantities:
 //!
 //! * `events_per_sec` — raw throughput of the optimized adaptive
 //!   solver. Machine-dependent; recorded for observation, **not
 //!   gated**.
-//! * `memo_hit_rate` — rate-memo hit percentage. A workload property,
-//!   near-deterministic across machines.
 //! * `speedup_dense` — events/sec ratio of the optimized solver over
 //!   the dense-reference oracle, measured in *interleaved* windows on
 //!   the same machine in the same process. Machine-wide load hits both
@@ -18,7 +15,7 @@
 //!   fails).
 //!
 //! The benchmark is 74LS153 (224 junctions): large enough that the
-//! sparse/memoised hot path dominates, small enough to time in
+//! sparse hot path dominates, small enough to time in
 //! seconds. Before any number is reported, the optimized and
 //! dense-reference run records are compared bitwise — a perf record
 //! from a diverged solver would be meaningless.
@@ -37,7 +34,7 @@ use crate::run::THETA;
 pub const SCHEMA: &str = "semsim-validate-trend";
 
 /// Current schema version.
-pub const SCHEMA_VERSION: f64 = 1.0;
+pub const SCHEMA_VERSION: f64 = 2.0;
 
 /// One per-commit trend record.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +45,6 @@ pub struct TrendRecord {
     pub benchmark: String,
     /// Optimized-solver throughput (machine-dependent, not gated).
     pub events_per_sec: f64,
-    /// Rate-memo hit rate in percent.
-    pub memo_hit_rate: f64,
     /// Optimized-over-dense events/sec ratio (the gated quantity).
     pub speedup_dense: f64,
 }
@@ -83,15 +78,10 @@ pub fn measure_trend(
         Ok(())
     };
     let refresh_interval = 1_000u64.max(4 * elab.circuit.num_islands() as u64);
-    // The optimized side runs the chunked backend — the production hot
-    // path — while `AdaptiveDense` stays on the scalar reference
-    // kernels (the engine pins the oracle to them), so the
-    // record-identity assertion below doubles as a cross-backend gate.
     let mk_cfg = |spec: SolverSpec| {
         SimConfig::new(params.temperature)
             .with_seed(seed)
             .with_solver(spec)
-            .with_backend(semsim_core::backend::BackendSpec::chunked())
     };
     let pair = measure_pair(
         &elab.circuit,
@@ -116,7 +106,6 @@ pub fn measure_trend(
         commit: commit.to_string(),
         benchmark: bench.name().to_string(),
         events_per_sec: pair.opt.events_per_sec(),
-        memo_hit_rate: pair.memo_hit_pct(),
         speedup_dense: pair.speedup(),
     })
 }
@@ -125,10 +114,9 @@ fn record_json(r: &TrendRecord) -> String {
     format!(
         concat!(
             "    {{\"commit\": \"{}\", \"benchmark\": \"{}\",\n",
-            "     \"events_per_sec\": {:.6e}, \"memo_hit_rate\": {:.4}, ",
-            "\"speedup_dense\": {:.4}}}"
+            "     \"events_per_sec\": {:.6e}, \"speedup_dense\": {:.4}}}"
         ),
-        r.commit, r.benchmark, r.events_per_sec, r.memo_hit_rate, r.speedup_dense,
+        r.commit, r.benchmark, r.events_per_sec, r.speedup_dense,
     )
 }
 
@@ -170,14 +158,10 @@ fn parse_record(p: &Json, i: usize) -> Result<TrendRecord, String> {
             .ok_or_else(|| format!("{ctx}: `benchmark` is not a string"))?
             .to_string(),
         events_per_sec: num("events_per_sec")?,
-        memo_hit_rate: num("memo_hit_rate")?,
         speedup_dense: num("speedup_dense")?,
     };
     if rec.events_per_sec <= 0.0 || rec.speedup_dense <= 0.0 {
         return Err(format!("{ctx}: non-positive throughput or speedup"));
-    }
-    if !(0.0..=100.0).contains(&rec.memo_hit_rate) {
-        return Err(format!("{ctx}: memo_hit_rate outside [0, 100]"));
     }
     Ok(rec)
 }
@@ -252,7 +236,6 @@ pub fn summary_lines(previous: Option<&TrendRecord>, current: &TrendRecord) -> S
         "validate-events-per-sec: {:.6e}",
         current.events_per_sec
     );
-    let _ = writeln!(out, "validate-memo-hit-rate: {:.4}", current.memo_hit_rate);
     let _ = writeln!(out, "validate-speedup-dense: {:.4}", current.speedup_dense);
     match previous {
         Some(prev) if prev.speedup_dense > 0.0 => {
@@ -278,7 +261,6 @@ mod tests {
             commit: commit.to_string(),
             benchmark: "74LS153".to_string(),
             events_per_sec: 4.4e5,
-            memo_hit_rate: 93.5,
             speedup_dense: speedup,
         }
     }
@@ -321,8 +303,10 @@ mod tests {
         assert!(load_records(&bad).is_err());
         let bad = text.replacen("semsim-validate-trend", "other", 1);
         assert!(load_records(&bad).is_err());
+        let old = text.replacen("\"version\": 2", "\"version\": 1", 1);
+        assert!(load_records(&old).is_err(), "older versions are refused");
         assert!(check_trend_file(
-            "{\"schema\": \"semsim-validate-trend\", \"version\": 1, \"records\": []}"
+            "{\"schema\": \"semsim-validate-trend\", \"version\": 2, \"records\": []}"
         )
         .is_err());
     }

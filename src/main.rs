@@ -71,7 +71,6 @@ use semsim::check::{
     apply_suggestions, report_to_json, validate_report, DiagCode, Diagnostics, JsonFileReport,
     Severity, Suggestion,
 };
-use semsim::core::backend::BackendSpec;
 use semsim::core::batch::{BatchCounts, BatchOpts, PointStatus, RetryPolicy};
 use semsim::core::constants::E_CHARGE;
 use semsim::core::engine::{RunLength, Simulation};
@@ -109,7 +108,6 @@ commands:
 
   validate [--quick] [--seed N] [--threads N] [--json FILE]
            [--trend FILE] [--commit HASH] [--journal BASE] [--resume]
-           [--backend scalar|chunked|chunked:N]
       Run the cross-engine validation grid: adaptive-solver ensembles
       at declared SET operating points (normal and superconducting)
       plus a logic-benchmark delay point, each compared against the
@@ -122,20 +120,17 @@ commands:
       (default 42); --threads caps the worker pool (results are
       bit-identical for any value); --json writes the schema-versioned
       machine report (verified by `semsim json-verify`); --trend
-      measures a performance trend record (74LS153 events/sec, memo
-      hit rate, speedup over the dense-reference oracle) and appends
-      it to FILE, printing `validate-trend-ratio:` against the
-      previous record (`none` on the first); --journal BASE journals
-      every ensemble crash-safely under BASE.p<NN> and --resume
-      restores finished replicas (the count goes to stderr; stdout
-      stays byte-identical). --backend selects the adaptive solver's
-      compute backend (default scalar); backends are bit-identical, so
-      a chunked run doubles as an end-to-end equivalence gate.
+      measures a performance trend record (74LS153 events/sec and
+      speedup over the dense-reference oracle) and appends it to
+      FILE, printing `validate-trend-ratio:` against the previous
+      record (`none` on the first); --journal BASE journals every
+      ensemble crash-safely under BASE.p<NN> and --resume restores
+      finished replicas (the count goes to stderr; stdout stays
+      byte-identical).
 
   run <netlist.cir> [--events N] [--threads N] [--checkpoint-every N]
                     [--checkpoint FILE] [--resume [FILE]]
                     [--journal FILE] [--max-retries N] [--max-memory BYTES]
-                    [--backend scalar|chunked|chunked:N]
       Compile the circuit and execute a Monte Carlo run at the declared
       bias. --events overrides the file's `jumps` directive (total
       events since the start of the trajectory). --checkpoint-every
@@ -151,14 +146,11 @@ commands:
       compilation when its estimated footprint (dense C/C⁻¹ matrices,
       neighborhood tables, journal buffer) exceeds the budget — accepts
       plain bytes or 64k/16m/2g; the refusal prints the estimator's
-      component breakdown. --backend selects the adaptive solver's
-      compute backend: `scalar` (reference, default) or `chunked[:N]`
-      (SIMD-friendly SoA kernels, chunk width N). Backends are
-      bit-identical — the trajectory does not depend on the choice.
+      component breakdown.
 
   sweep <netlist.cir> [--events N] [--threads N]
                       [--journal FILE] [--resume] [--max-retries N]
-                      [--max-memory BYTES] [--backend scalar|chunked|chunked:N]
+                      [--max-memory BYTES]
       Execute the file's `sweep` declaration in parallel over --threads
       worker threads (default: all cores) and print one `control
       current outcome` line per point. Output is bit-identical for
@@ -167,7 +159,7 @@ commands:
       appends finished points to a crash-safe journal (default: the
       file's `journal` directive) and --resume skips them on the next
       invocation, reproducing the uninterrupted sweep bit-for-bit. See
-      docs/robustness.md. --max-memory and --backend work as for `run`.
+      docs/robustness.md. --max-memory works as for `run`.
 
   serve [--port N] [--workers N] [--queue-depth N]
         [--data-dir DIR] [--max-job-seconds S] [--max-memory BYTES]
@@ -528,8 +520,6 @@ struct RunOpts {
     /// Memory budget in bytes (`--max-memory`); the circuit is refused
     /// before compilation when its estimated footprint exceeds this.
     max_memory: Option<u64>,
-    /// Adaptive-solver compute backend (`--backend`).
-    backend: BackendSpec,
 }
 
 fn parse_run_opts(cmd: &str, args: &[String]) -> Result<RunOpts, String> {
@@ -545,7 +535,6 @@ fn parse_run_opts(cmd: &str, args: &[String]) -> Result<RunOpts, String> {
         resume_journal: false,
         timeout: None,
         max_memory: None,
-        backend: BackendSpec::default(),
     };
     // `sweep` takes the parallel flags only; the checkpoint family is
     // run-trajectory specific.
@@ -620,10 +609,6 @@ fn parse_run_opts(cmd: &str, args: &[String]) -> Result<RunOpts, String> {
                     return Err("`--max-memory` must be positive".into());
                 }
                 opts.max_memory = Some(budget);
-            }
-            "--backend" => {
-                opts.backend = BackendSpec::parse(&value("--backend")?)
-                    .map_err(|e| format!("`--backend`: {e}"))?;
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}` for `semsim {cmd}`"));
@@ -752,9 +737,8 @@ fn run_file(opts: &RunOpts) -> bool {
 fn try_run(opts: &RunOpts) -> Result<(), String> {
     let source = std::fs::read_to_string(&opts.netlist)
         .map_err(|e| format!("cannot read `{}`: {e}", opts.netlist))?;
-    let mut file =
+    let file =
         CircuitFile::parse(&source).map_err(|e| format!("{}:{}: {e}", opts.netlist, e.line()))?;
-    file.backend = opts.backend;
     check_memory_budget(&file, &opts.netlist, opts.max_memory)?;
     let runs = file.jumps.map(|(_, r)| r).unwrap_or(1);
     if runs > 1 && file.sweep.is_none() {
@@ -956,7 +940,6 @@ fn try_sweep(opts: &RunOpts) -> Result<(), String> {
         .map_err(|e| format!("cannot read `{}`: {e}", opts.netlist))?;
     let mut file =
         CircuitFile::parse(&source).map_err(|e| format!("{}:{}: {e}", opts.netlist, e.line()))?;
-    file.backend = opts.backend;
     if file.sweep.is_none() {
         return Err(format!(
             "{}: `semsim sweep` needs a `sweep` declaration in the netlist",
@@ -1236,7 +1219,6 @@ struct ValidateOpts {
     commit: String,
     journal: Option<String>,
     resume: bool,
-    backend: BackendSpec,
 }
 
 /// Trend-measurement window: events per timed window, discarded warmup
@@ -1257,7 +1239,6 @@ fn parse_validate_opts(args: &[String]) -> Result<ValidateOpts, String> {
         commit: "unknown".to_string(),
         journal: None,
         resume: false,
-        backend: BackendSpec::default(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -1287,10 +1268,6 @@ fn parse_validate_opts(args: &[String]) -> Result<ValidateOpts, String> {
             "--commit" => opts.commit = value("--commit")?,
             "--journal" => opts.journal = Some(value("--journal")?),
             "--resume" => opts.resume = true,
-            "--backend" => {
-                opts.backend = BackendSpec::parse(&value("--backend")?)
-                    .map_err(|e| format!("`--backend`: {e}"))?;
-            }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}` for `semsim validate`"));
             }
@@ -1344,7 +1321,6 @@ fn validate_cmd(args: &[String]) -> ExitCode {
         threads: opts.threads,
         journal: opts.journal.as_ref().map(std::path::PathBuf::from),
         resume: opts.resume,
-        backend: opts.backend,
     };
     let run = match semsim::validate::run_grid(opts.profile, opts.seed, &run_opts) {
         Ok(run) => run,

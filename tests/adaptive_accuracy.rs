@@ -5,7 +5,7 @@
 
 use semsim::core::circuit::{CircuitBuilder, NodeId};
 use semsim::core::constants::ev_to_joule;
-use semsim::core::engine::{linspace, sweep, RunLength, SimConfig, Simulation, SolverSpec};
+use semsim::core::engine::{linspace, sweep, Record, RunLength, SimConfig, Simulation, SolverSpec};
 use semsim::core::par::{par_sweep, ParOpts};
 use semsim::core::superconduct::SuperconductingParams;
 use semsim::logic::{elaborate, measure_delay, synthesize, SetLogicParams};
@@ -15,6 +15,40 @@ fn adaptive_spec(theta: f64) -> SolverSpec {
         threshold: theta,
         refresh_interval: 2_000,
     }
+}
+
+/// The optimized solver and its dense-reference oracle at one
+/// threshold and refresh interval.
+fn opt_and_dense(threshold: f64, refresh_interval: u64) -> [SolverSpec; 2] {
+    [
+        SolverSpec::Adaptive {
+            threshold,
+            refresh_interval,
+        },
+        SolverSpec::AdaptiveDense {
+            threshold,
+            refresh_interval,
+        },
+    ]
+}
+
+/// Asserts two `(record, simulated time)` runs are equal **to the
+/// bit**: identical records (duration, electron counts, probe samples,
+/// adaptive work counters) plus the raw bits of every accumulated
+/// floating-point observable, so a single reassociated rounding
+/// anywhere in the hot loop fails.
+fn assert_bit_identical(what: &str, a: &(Record, f64), b: &(Record, f64)) {
+    assert_eq!(a.0, b.0, "{what}: records differ");
+    assert_eq!(a.0.duration.to_bits(), b.0.duration.to_bits(), "{what}");
+    for (i, (x, y)) in
+        a.0.electron_counts
+            .iter()
+            .zip(&b.0.electron_counts)
+            .enumerate()
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: electron count {i}");
+    }
+    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{what}: simulated time");
 }
 
 #[test]
@@ -177,8 +211,8 @@ fn drift_audit_stays_clean_on_logic_benchmark() {
 #[test]
 fn optimized_adaptive_is_bit_identical_to_dense_reference() {
     // The hot-path contract: precomputed dependency neighbourhoods and
-    // the rate memo are pure optimizations. At every threshold — from
-    // "recompute everything" (θ = 0) through ablation values to
+    // the batched kernels are pure optimizations. At every threshold —
+    // from "recompute everything" (θ = 0) through ablation values to
     // "recompute almost nothing" (θ = 1) — the optimized solver must
     // reproduce the dense-reference solver's trajectory bit for bit:
     // identical Records (duration, electron counts, probe samples,
@@ -200,28 +234,17 @@ fn optimized_adaptive_is_bit_identical_to_dense_reference() {
         (r, sim.time())
     };
     for theta in [0.0, 0.01, 0.05, 0.1, 0.3, 1.0] {
-        let (opt, t_opt) = run(SolverSpec::Adaptive {
-            threshold: theta,
-            refresh_interval: 1_500,
-        });
-        let (dense, t_dense) = run(SolverSpec::AdaptiveDense {
-            threshold: theta,
-            refresh_interval: 1_500,
-        });
-        assert_eq!(opt, dense, "trajectory diverged at θ = {theta}");
-        assert_eq!(
-            t_opt.to_bits(),
-            t_dense.to_bits(),
-            "time diverged at θ = {theta}"
-        );
+        let [opt, dense] = opt_and_dense(theta, 1_500).map(run);
+        assert_bit_identical(&format!("logic θ = {theta}"), &opt, &dense);
     }
 }
 
 #[test]
 fn superconducting_optimized_adaptive_matches_dense_reference() {
     // Same contract through the quasi-particle path: rates come from
-    // the bucket-indexed lookup table and flow through the memo, and a
-    // two-island chain exercises non-trivial dependency lists.
+    // the bucket-indexed lookup table (batched in the optimized path,
+    // per junction in the oracle), and a two-island chain exercises
+    // non-trivial dependency lists.
     let mut b = CircuitBuilder::new();
     let bias = b.add_lead(20e-2);
     let i1 = b.add_island();
@@ -241,16 +264,8 @@ fn superconducting_optimized_adaptive_matches_dense_reference() {
         (r, sim.time())
     };
     for theta in [0.01, 0.1, 0.3] {
-        let (opt, t_opt) = run(SolverSpec::Adaptive {
-            threshold: theta,
-            refresh_interval: 1_000,
-        });
-        let (dense, t_dense) = run(SolverSpec::AdaptiveDense {
-            threshold: theta,
-            refresh_interval: 1_000,
-        });
-        assert_eq!(opt, dense, "SC trajectory diverged at θ = {theta}");
-        assert_eq!(t_opt.to_bits(), t_dense.to_bits(), "θ = {theta}");
+        let [opt, dense] = opt_and_dense(theta, 1_000).map(run);
+        assert_bit_identical(&format!("SC chain θ = {theta}"), &opt, &dense);
     }
 }
 

@@ -1,63 +1,60 @@
-//! Cross-backend equivalence suite: the chunked SoA backend must
-//! produce **bit-identical trajectories** to the scalar reference
-//! backend (see `semsim::core::backend` for the per-kernel contract) —
-//! across the adaptive threshold range, on normal and superconducting
-//! circuits, for every chunk width (including widths that do not
-//! divide the junction count, exercising the tail lanes), and under
-//! the deterministic parallel drivers at any thread count.
+//! Kernel equivalence suite: the optimized adaptive solver, whose hot
+//! loop runs the batched structure-of-arrays kernels, must produce
+//! **bit-identical trajectories** to `SolverSpec::AdaptiveDense`, the
+//! oracle that runs the per-junction scalar path — across the adaptive
+//! threshold range, on normal and superconducting single-electron
+//! transistors.
 //!
 //! Everything here compares full `Record`s plus the raw bits of the
-//! accumulated observables, so a single reassociated rounding anywhere
-//! in the hot loop fails the suite.
+//! accumulated observables and of the simulated time, so a single
+//! reassociated rounding anywhere in the hot loop fails the suite.
 
-use semsim::core::backend::BackendSpec;
 use semsim::core::constants::{thermal_energy, E_CHARGE};
 use semsim::core::engine::{Record, RunLength, SimConfig, Simulation, SolverSpec};
-use semsim::core::par::{par_sweep, ParOpts};
 use semsim::core::superconduct::{gap_at, QpRateTable};
-use semsim::logic::{elaborate, Benchmark, Elaborated, SetLogicParams};
 use semsim_bench::devices::{fig5_params, fig5_set, symmetric_set, SetDevice};
 
-/// Threshold sweep: θ = 0 (test everything) through θ = 1 (flag almost
-/// nothing), straddling the paper's 0.01–0.3 operating range.
-const THETAS: [f64; 6] = [0.0, 0.05, 0.1, 0.3, 0.5, 1.0];
-
-/// Chunk widths: 1 (degenerate), powers of two, and non-divisors of
-/// the junction counts under test so the tail path runs.
-const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 8];
-
-fn adaptive(theta: f64) -> SolverSpec {
-    SolverSpec::Adaptive {
-        threshold: theta,
-        refresh_interval: 500,
-    }
+/// The optimized solver and its dense-reference oracle at one
+/// threshold.
+fn opt_and_dense(threshold: f64) -> [SolverSpec; 2] {
+    [
+        SolverSpec::Adaptive {
+            threshold,
+            refresh_interval: 500,
+        },
+        SolverSpec::AdaptiveDense {
+            threshold,
+            refresh_interval: 500,
+        },
+    ]
 }
 
-/// Runs one trajectory and returns its record.
-fn run_record(dev: &SetDevice, cfg: SimConfig, vds: f64, vg: f64, events: u64) -> Record {
+/// Runs one trajectory and returns its record and simulated time.
+fn run_record(dev: &SetDevice, cfg: SimConfig, vds: f64, vg: f64, events: u64) -> (Record, f64) {
     let mut sim = Simulation::new(&dev.circuit, cfg).expect("simulation");
     sim.set_lead_voltage(dev.source_lead, vds / 2.0)
         .expect("bias");
     sim.set_lead_voltage(dev.drain_lead, -vds / 2.0)
         .expect("bias");
     sim.set_lead_voltage(dev.gate_lead, vg).expect("gate");
-    sim.run(RunLength::Events(events)).expect("run")
+    let r = sim.run(RunLength::Events(events)).expect("run");
+    (r, sim.time())
 }
 
-/// Asserts two records are equal **to the bit** in every observable
-/// that accumulates floating-point history.
-fn assert_records_bit_identical(what: &str, a: &Record, b: &Record) {
-    assert_eq!(a, b, "{what}: records differ");
+/// Asserts two runs are equal **to the bit** in every observable that
+/// accumulates floating-point history.
+fn assert_runs_bit_identical(what: &str, a: &(Record, f64), b: &(Record, f64)) {
+    assert_eq!(a.0, b.0, "{what}: records differ");
     assert_eq!(
-        a.duration.to_bits(),
-        b.duration.to_bits(),
+        a.0.duration.to_bits(),
+        b.0.duration.to_bits(),
         "{what}: durations differ in the last ulp"
     );
-    for (i, (x, y)) in a
-        .electron_counts
-        .iter()
-        .zip(b.electron_counts.iter())
-        .enumerate()
+    for (i, (x, y)) in
+        a.0.electron_counts
+            .iter()
+            .zip(&b.0.electron_counts)
+            .enumerate()
     {
         assert_eq!(
             x.to_bits(),
@@ -65,26 +62,30 @@ fn assert_records_bit_identical(what: &str, a: &Record, b: &Record) {
             "{what}: electron count {i} differs in the last ulp"
         );
     }
+    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{what}: simulated time");
 }
 
 #[test]
 fn theta_sweep_bit_identical_on_normal_set() {
+    // θ = 0 (test everything) through θ = 1 (flag almost nothing),
+    // straddling the paper's 0.01–0.3 operating range. Two junctions
+    // share one island, so every event tests both.
     let dev = symmetric_set(1e6, 1e-18, 3e-18, 0.5).expect("device");
-    for theta in THETAS {
-        let mk = |backend| {
-            SimConfig::new(4.2)
-                .with_seed(11)
-                .with_solver(adaptive(theta))
-                .with_backend(backend)
-        };
-        let scalar = run_record(&dev, mk(BackendSpec::Scalar), 20e-3, 10e-3, 4_000);
-        let chunked = run_record(&dev, mk(BackendSpec::chunked()), 20e-3, 10e-3, 4_000);
-        assert_records_bit_identical(&format!("SET θ={theta}"), &scalar, &chunked);
+    for theta in [0.0, 0.05, 0.1, 0.3, 0.5, 1.0] {
+        let [opt, dense] = opt_and_dense(theta).map(|spec| {
+            let cfg = SimConfig::new(4.2).with_seed(11).with_solver(spec);
+            run_record(&dev, cfg, 20e-3, 10e-3, 4_000)
+        });
+        assert_runs_bit_identical(&format!("SET θ = {theta}"), &opt, &dense);
     }
 }
 
 #[test]
 fn theta_sweep_bit_identical_on_superconducting_set() {
+    // The Fig. 5 SSET near its quasi-particle threshold, every run
+    // sharing one pre-built table as the Fig. 5 map does. Every
+    // first-order rate goes through the table: batched in the
+    // optimized path, per junction in the oracle.
     let dev = fig5_set().expect("device");
     let params = fig5_params().expect("params");
     let temp = 0.52;
@@ -93,143 +94,15 @@ fn theta_sweep_bit_identical_on_superconducting_set() {
     let ec = E_CHARGE * E_CHARGE / (2.0 * 234e-18);
     let w_max = 4.0 * gap + 40.0 * kt + 8.0 * ec + 4.0 * E_CHARGE * 0.011;
     let table = QpRateTable::build(gap, kt, w_max).expect("qp table");
-    // The superconducting path routes every first-order rate through
-    // the quasi-particle lookup table — the backend's batched
-    // interpolation must match the scalar per-query path exactly.
     for theta in [0.0, 0.1, 0.5] {
-        let mk = |backend| {
-            SimConfig::new(temp)
+        let [opt, dense] = opt_and_dense(theta).map(|spec| {
+            let cfg = SimConfig::new(temp)
                 .with_seed(23)
-                .with_solver(adaptive(theta))
+                .with_solver(spec)
                 .with_superconducting(params)
-                .with_qp_table(table.clone())
-                .with_backend(backend)
-        };
-        let scalar = run_record(&dev, mk(BackendSpec::Scalar), 3.2e-3, 0.0, 2_000);
-        let chunked = run_record(&dev, mk(BackendSpec::chunked()), 3.2e-3, 0.0, 2_000);
-        assert_records_bit_identical(&format!("SSET θ={theta}"), &scalar, &chunked);
-    }
-}
-
-/// Runs the 2-to-10 decoder (76 junctions — no chunk width in
-/// [`WIDTHS`] divides it except 1, 2 and 4) with all inputs high.
-fn run_logic(elab: &Elaborated, inputs: &[usize], cfg: SimConfig, events: u64) -> Record {
-    let params = SetLogicParams::default();
-    let mut sim = Simulation::new(&elab.circuit, cfg).expect("simulation");
-    for &lead in inputs {
-        sim.set_lead_voltage(lead, params.vdd).expect("input");
-    }
-    sim.run(RunLength::Events(events)).expect("run")
-}
-
-#[test]
-fn chunk_width_sweep_bit_identical_on_logic_benchmark() {
-    let logic = Benchmark::Decoder2To10.logic();
-    let params = SetLogicParams::default();
-    let elab = elaborate(&logic, &params).expect("elaborate");
-    let inputs: Vec<usize> = logic
-        .inputs
-        .iter()
-        .map(|name| elab.input_lead(name).expect("input lead"))
-        .collect();
-    let mk = |backend| {
-        SimConfig::new(params.temperature)
-            .with_seed(7)
-            .with_solver(adaptive(0.05))
-            .with_backend(backend)
-    };
-    let scalar = run_logic(&elab, &inputs, mk(BackendSpec::Scalar), 2_000);
-    for width in WIDTHS {
-        let chunked = run_logic(&elab, &inputs, mk(BackendSpec::Chunked { width }), 2_000);
-        assert_records_bit_identical(&format!("decoder width={width}"), &scalar, &chunked);
-    }
-}
-
-#[test]
-fn chunked_adaptive_matches_dense_reference_oracle() {
-    // `AdaptiveDense` recomputes dependency neighbourhoods from the
-    // dense matrices every event on the scalar kernels — the engine
-    // pins the oracle to the reference backend even when the config
-    // asks for chunked. The optimized chunked solver must reproduce it
-    // bit for bit.
-    let logic = Benchmark::Decoder2To10.logic();
-    let params = SetLogicParams::default();
-    let elab = elaborate(&logic, &params).expect("elaborate");
-    let inputs: Vec<usize> = logic
-        .inputs
-        .iter()
-        .map(|name| elab.input_lead(name).expect("input lead"))
-        .collect();
-    let mk = |solver| {
-        SimConfig::new(params.temperature)
-            .with_seed(9)
-            .with_solver(solver)
-            .with_backend(BackendSpec::chunked())
-    };
-    let chunked = run_logic(&elab, &inputs, mk(adaptive(0.05)), 2_000);
-    let oracle = run_logic(
-        &elab,
-        &inputs,
-        mk(SolverSpec::AdaptiveDense {
-            threshold: 0.05,
-            refresh_interval: 500,
-        }),
-        2_000,
-    );
-    // Stats legitimately differ (the dense mode bypasses the memo), so
-    // compare the trajectory observables, not the whole record.
-    assert_eq!(chunked.events, oracle.events);
-    assert_eq!(chunked.duration.to_bits(), oracle.duration.to_bits());
-    for (i, (x, y)) in chunked
-        .electron_counts
-        .iter()
-        .zip(oracle.electron_counts.iter())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "electron count {i} diverges from the dense oracle"
-        );
-    }
-    assert_eq!(chunked.outcome, oracle.outcome);
-}
-
-#[test]
-fn parallel_sweeps_bit_identical_across_backends_and_threads() {
-    let dev = symmetric_set(1e6, 1e-18, 3e-18, 0.5).expect("device");
-    let biases: Vec<f64> = (1..=6).map(|i| i as f64 * 5e-3).collect();
-    let sweep = |backend, threads| {
-        let cfg = SimConfig::new(4.2)
-            .with_seed(31)
-            .with_solver(adaptive(0.05))
-            .with_backend(backend);
-        par_sweep(
-            &dev.circuit,
-            &cfg,
-            dev.j1,
-            &biases,
-            200,
-            2_000,
-            ParOpts::with_threads(threads),
-            |sim, vds| {
-                sim.set_lead_voltage(dev.source_lead, vds / 2.0)?;
-                sim.set_lead_voltage(dev.drain_lead, -vds / 2.0)?;
-                sim.set_lead_voltage(dev.gate_lead, 10e-3)
-            },
-        )
-        .expect("sweep")
-        .iter()
-        .map(|p| (p.control.to_bits(), p.current.to_bits(), p.events))
-        .collect::<Vec<_>>()
-    };
-    let reference = sweep(BackendSpec::Scalar, 1);
-    for threads in 1..=8 {
-        assert_eq!(
-            sweep(BackendSpec::chunked(), threads),
-            reference,
-            "chunked backend on {threads} thread(s) diverges from the \
-             serial scalar sweep"
-        );
+                .with_qp_table(table.clone());
+            run_record(&dev, cfg, 3.2e-3, 0.0, 2_000)
+        });
+        assert_runs_bit_identical(&format!("SSET θ = {theta}"), &opt, &dense);
     }
 }

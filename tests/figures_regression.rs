@@ -20,7 +20,6 @@
 //! The sweeps run on the deterministic parallel driver, so these are
 //! also end-to-end regressions for [`semsim::core::par`].
 
-use semsim::core::backend::BackendSpec;
 use semsim::core::constants::{thermal_energy, E_CHARGE};
 use semsim::core::engine::{SimConfig, SolverSpec};
 use semsim::core::par::{par_sweep, ParOpts};
@@ -30,17 +29,6 @@ use semsim_bench::devices::{fig1_set, fig1c_params, fig5_params, fig5_set, SetDe
 
 const EVENTS: u64 = 3_000;
 const WARMUP: u64 = 150;
-
-/// Compute backend under test, from `SEMSIM_TEST_BACKEND`
-/// (`scalar` / `chunked` / `chunked:N`; default scalar). CI reruns
-/// this suite with the chunked backend — backends are bit-identical,
-/// so every figure assertion must hold unchanged.
-fn test_backend() -> BackendSpec {
-    match std::env::var("SEMSIM_TEST_BACKEND") {
-        Ok(s) => BackendSpec::parse(&s).expect("invalid SEMSIM_TEST_BACKEND"),
-        Err(_) => BackendSpec::default(),
-    }
-}
 
 /// Currents through `j1` at the given symmetric drain-source biases.
 fn currents(dev: &SetDevice, config: &SimConfig, biases: &[f64], vg: f64) -> Vec<f64> {
@@ -67,9 +55,7 @@ fn currents(dev: &SetDevice, config: &SimConfig, biases: &[f64], vg: f64) -> Vec
 #[test]
 fn fig1b_blockade_half_width_is_about_32_mv() {
     let dev = fig1_set().expect("device");
-    let config = SimConfig::new(5.0)
-        .with_seed(42)
-        .with_backend(test_backend());
+    let config = SimConfig::new(5.0).with_seed(42);
     let i = currents(&dev, &config, &[0.024, 0.030, 0.034, 0.040], 0.0);
     let (i24, i30, i34, i40) = (i[0].abs(), i[1].abs(), i[2].abs(), i[3].abs());
 
@@ -99,9 +85,7 @@ fn fig1b_blockade_half_width_is_about_32_mv() {
 #[test]
 fn fig1b_gate_lifts_blockade() {
     let dev = fig1_set().expect("device");
-    let config = SimConfig::new(5.0)
-        .with_seed(42)
-        .with_backend(test_backend());
+    let config = SimConfig::new(5.0).with_seed(42);
     let biases = [0.010];
     let closed = currents(&dev, &config, &biases, 0.0)[0].abs();
     let open = currents(&dev, &config, &biases, 0.03)[0].abs();
@@ -120,12 +104,9 @@ fn fig1b_gate_lifts_blockade() {
 #[test]
 fn fig1c_superconducting_gap_widens_blockade() {
     let dev = fig1_set().expect("device");
-    let normal = SimConfig::new(5.0)
-        .with_seed(42)
-        .with_backend(test_backend());
+    let normal = SimConfig::new(5.0).with_seed(42);
     let sset = SimConfig::new(0.05)
         .with_seed(42)
-        .with_backend(test_backend())
         .with_superconducting(fig1c_params().expect("params"));
 
     let biases = [0.032, 0.040];
@@ -167,7 +148,6 @@ fn fig5_qp_threshold_separates_subgap_from_open_transport() {
     let w_max = 4.0 * gap + 40.0 * kt + 8.0 * ec + 4.0 * E_CHARGE * 0.011;
     let config = SimConfig::new(temp)
         .with_seed(42)
-        .with_backend(test_backend())
         .with_superconducting(params)
         .with_qp_table(QpRateTable::build(gap, kt, w_max).expect("qp table"));
 
@@ -219,8 +199,7 @@ fn fig7_adaptive_delay_tracks_nonadaptive_on_decoder() {
     let run = |solver: SolverSpec, seed: u64| {
         let cfg = SimConfig::new(params.temperature)
             .with_seed(seed)
-            .with_solver(solver)
-            .with_backend(test_backend());
+            .with_solver(solver);
         measure_delay_avg(&elab, &logic, &cfg, output, 30.0, 50.0, 2)
             .expect("delay measurement")
             .delay
