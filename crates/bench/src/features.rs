@@ -47,24 +47,6 @@ pub fn pair_detuning(
     }
 }
 
-/// Most favourable single quasi-particle free-energy change (J) over
-/// both junctions and directions. Sequential quasi-particle transport
-/// at low temperature requires `ΔW ≤ −2Δ` (both electrodes pay a gap);
-/// [`qp_transport_open`] applies that criterion.
-pub fn best_qp_dw(circuit: &Circuit, state: &CircuitState) -> f64 {
-    let mut best = f64::INFINITY;
-    for id in circuit.junction_ids() {
-        let j = circuit.junction(id);
-        for (a, b) in [(j.node_a, j.node_b), (j.node_b, j.node_a)] {
-            let dw = delta_w(circuit, state, a, b, 1);
-            if dw < best {
-                best = dw;
-            }
-        }
-    }
-    best
-}
-
 /// Whether a full first-order quasi-particle transport *cycle* is
 /// energetically open at zero temperature for gap `gap` (J): an
 /// electron must be able to enter the island through one junction and

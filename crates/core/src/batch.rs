@@ -388,14 +388,6 @@ impl<T> BatchReport<T> {
         self.counts.faulted == 0 && self.counts.cancelled == 0
     }
 
-    /// The lowest-index faulted point, if any.
-    #[must_use]
-    pub fn first_fault(&self) -> Option<&PointReport<T>> {
-        self.points
-            .iter()
-            .find(|p| matches!(p.status, PointStatus::Faulted))
-    }
-
     /// All point values in task order, or `None` if any point faulted.
     #[must_use]
     pub fn values(&self) -> Option<Vec<T>>
@@ -991,11 +983,10 @@ fn ensemble_fingerprint(
 }
 
 /// Resilient independent-replica ensemble: the computation of
-/// [`crate::par::par_ensemble`] with per-replica retry, salvage, and
+/// [`crate::par::Ensemble`] with per-replica retry, salvage, and
 /// optional journaling. Replica `r` runs with
-/// `split_seed(config.seed, r)` and blockade-as-outcome, exactly like
-/// [`crate::par::Ensemble`]; `setup(sim, replica, spec)` runs before
-/// warmup.
+/// `split_seed(config.seed, r)` and blockade-as-outcome, exactly as
+/// there; `setup(sim, replica, spec)` runs before warmup.
 ///
 /// # Errors
 ///

@@ -332,11 +332,6 @@ pub struct Circuit {
     lead_response_t: Matrix,
     /// Flat SoA junction buffers for the batched kernels.
     junction_soa: JunctionSoA,
-    /// Warning-severity findings from the static checks that ran during
-    /// [`CircuitBuilder::build`] (ill-conditioned capacitance matrix,
-    /// tunnel-unreachable islands). Error-severity defects surface as
-    /// [`CoreError`]s instead.
-    check_warnings: semsim_check::Diagnostics,
 }
 
 impl Circuit {
@@ -395,57 +390,24 @@ impl Circuit {
             }
         }
 
-        // Static checks on the abstract graph. Hard defects (floating
-        // islands → singular matrix) still surface through the inverse
-        // below as `CoreError::FloatingIsland`; the warnings
-        // (ill-conditioning, tunnel-unreachable islands) are kept on the
-        // circuit for callers to surface.
-        let check_warnings = {
-            let mut model = semsim_check::CircuitModel::new();
-            let mut model_nodes = Vec::with_capacity(n_nodes);
-            for (idx, kind) in b.nodes.iter().enumerate() {
-                let mn = match kind {
-                    NodeKind::Lead(_) => model.add_lead(),
-                    NodeKind::Island(_) => model.add_island(),
-                };
-                model.set_label(mn, idx.to_string());
-                model_nodes.push(mn);
-            }
-            for j in &b.junctions {
-                model.add_junction(
-                    model_nodes[j.node_a.0],
-                    model_nodes[j.node_b.0],
-                    1.0 / j.resistance,
-                    j.capacitance,
-                );
-            }
-            for c in &b.capacitors {
-                model.add_capacitor(
-                    model_nodes[c.node_a.0],
-                    model_nodes[c.node_b.0],
-                    c.capacitance,
-                );
-            }
-            let mut warnings = semsim_check::Diagnostics::new();
-            for d in semsim_check::check_circuit(&model) {
-                if d.severity == semsim_check::Severity::Warning {
-                    warnings.push(d);
-                }
-            }
-            warnings
-        };
-
         let cinv = if n_islands > 0 {
             cmatrix.inverse().map_err(CoreError::FloatingIsland)?
         } else {
             Matrix::zeros(0, 0)
         };
+        // The transpose is allocated while the LU factor that `inverse`
+        // just freed is still one n×n block, so it reuses that block; built
+        // after the sparse view's row vectors have split the block, it
+        // grows glibc's heap by a whole matrix instead (+11 MiB peak RSS
+        // at c432).
+        let cinv_t = cinv.transposed();
         let cinv_sparse = SparsifiedMatrix::new(&cinv, 1e-8);
         let lead_response = if n_islands > 0 {
             cinv.mul(&cext).expect("shape fixed by construction")
         } else {
             Matrix::zeros(0, n_leads)
         };
+        let lead_response_t = lead_response.transposed();
 
         // Node-level incidence.
         let mut node_junctions: Vec<Vec<JunctionId>> = vec![Vec::new(); n_nodes];
@@ -471,13 +433,10 @@ impl Circuit {
             island_dependents: Vec::new(),
             lead_dependents: Vec::new(),
             lead_response_colmax: Vec::new(),
-            cinv_t: Matrix::zeros(0, 0),
-            lead_response_t: Matrix::zeros(0, 0),
+            cinv_t,
+            lead_response_t,
             junction_soa: JunctionSoA::default(),
-            check_warnings,
         };
-        circuit.cinv_t = circuit.cinv.transposed();
-        circuit.lead_response_t = circuit.lead_response.transposed();
         circuit.junction_soa = {
             let idx32 = |o: Option<usize>| o.map_or(JunctionSoA::NONE, |i| i as u32);
             let mut soa = JunctionSoA::default();
@@ -530,12 +489,6 @@ impl Circuit {
             .collect();
 
         Ok(circuit)
-    }
-
-    /// Warning-severity findings from the static checks run at build
-    /// time (SC003 ill-conditioning, SC005 tunnel-unreachable islands).
-    pub fn check_warnings(&self) -> &semsim_check::Diagnostics {
-        &self.check_warnings
     }
 
     /// Number of nodes (leads + islands), including ground.

@@ -614,17 +614,6 @@ impl<T: JournalItem> Journal<T> {
         })
     }
 
-    /// The first append failure (`None` while every append has
-    /// succeeded). Once set, all further appends are refused — see
-    /// [`Journal::append`].
-    #[must_use]
-    pub fn write_failure(&self) -> Option<String> {
-        self.failed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
     /// Arms a scripted append failure (testing only): the next
     /// `after_appends` appends succeed, then every later append writes
     /// only `torn_bytes` bytes of its record and fails like ENOSPC.

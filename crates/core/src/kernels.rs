@@ -35,7 +35,7 @@
 use crate::circuit::{Circuit, JunctionId, JunctionSoA, NodeId};
 use crate::constants::E_CHARGE;
 use crate::rates::orthodox_rates;
-use crate::solver::TunnelModel;
+use crate::solver::{StateChange, TunnelModel};
 
 /// Lanes of [`replay_fold`]'s delta buffer.
 const REPLAY_LANES: usize = 8;
@@ -66,24 +66,24 @@ pub(crate) struct ReplayEntry {
 }
 
 impl ReplayEntry {
-    /// Resolves a disturbance against the circuit's node table once,
+    /// Resolves a state change against the circuit's node table once,
     /// at log-push time. The transfer coefficient pre-multiplies
     /// `count as f64 * E_CHARGE` — the exact first factor of
     /// [`crate::energy::potential_delta`]'s product.
-    pub(crate) fn resolve(circuit: &Circuit, d: Disturbance) -> Self {
+    pub(crate) fn resolve(circuit: &Circuit, change: StateChange) -> Self {
         let idx = |n: NodeId| -> u32 {
             circuit
                 .island_index(n)
                 .map_or(JunctionSoA::NONE, |i| i as u32)
         };
-        match d {
-            Disturbance::Transfer { from, to, count } => ReplayEntry {
+        match change {
+            StateChange::Transfer { from, to, count } => ReplayEntry {
                 from: idx(from),
                 to: idx(to),
                 lead: JunctionSoA::NONE,
                 coef: count as f64 * E_CHARGE,
             },
-            Disturbance::Step { lead, dv } => ReplayEntry {
+            StateChange::LeadStep { lead, dv } => ReplayEntry {
                 from: JunctionSoA::NONE,
                 to: JunctionSoA::NONE,
                 lead: lead as u32,
@@ -114,28 +114,6 @@ impl ReplayEntry {
         };
         self.coef * ((0.0 + xf) - xt)
     }
-}
-
-/// A state disturbance, as seen by the per-event testing kernel.
-/// Mirrors the adaptive solver's replay-log entry.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Disturbance {
-    /// `count` electrons moved from `from` to `to`.
-    Transfer {
-        /// Source node.
-        from: NodeId,
-        /// Destination node.
-        to: NodeId,
-        /// Electrons moved (2 for a Cooper pair).
-        count: i64,
-    },
-    /// Lead `lead` stepped by `dv` volts.
-    Step {
-        /// Lead index.
-        lead: usize,
-        /// Voltage step (V).
-        dv: f64,
-    },
 }
 
 /// Potential change of one junction terminal for a transfer, from the
@@ -192,7 +170,7 @@ fn lane_potential(island: u32, lead: u32, phi: &[f64], lead_voltages: &[f64]) ->
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn test_factors(
     circuit: &Circuit,
-    entry: Disturbance,
+    change: StateChange,
     tested: &[JunctionId],
     threshold: f64,
     dw_fw: &[f64],
@@ -211,8 +189,8 @@ pub(crate) fn test_factors(
             b0[idx] = b;
         }
     };
-    match entry {
-        Disturbance::Transfer { from, to, count } => {
+    match change {
+        StateChange::Transfer { from, to, count } => {
             let cinv_t = circuit.transposed_inverse_capacitance();
             // Resolve the two event columns once; every lane then
             // gathers from these L1-resident slices instead of
@@ -229,7 +207,7 @@ pub(crate) fn test_factors(
                 );
             }
         }
-        Disturbance::Step { lead, dv } => {
+        StateChange::LeadStep { lead, dv } => {
             let lr = circuit.transposed_lead_response().row(lead);
             let lead = lead as u32;
             for &j in tested {
@@ -364,31 +342,31 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn disturbances(c: &Circuit) -> Vec<Disturbance> {
+    fn changes(c: &Circuit) -> Vec<StateChange> {
         let i = |k: usize| c.island_node(k);
         vec![
-            Disturbance::Transfer {
+            StateChange::Transfer {
                 from: i(1),
                 to: i(2),
                 count: 1,
             },
-            Disturbance::Transfer {
+            StateChange::Transfer {
                 from: NodeId::GROUND,
                 to: i(10),
                 count: 2,
             },
-            Disturbance::Transfer {
+            StateChange::Transfer {
                 from: i(7),
                 to: NodeId(1),
                 count: -1,
             },
-            Disturbance::Transfer {
+            StateChange::Transfer {
                 from: NodeId::GROUND,
                 to: NodeId(1),
                 count: 1,
             },
-            Disturbance::Step { lead: 1, dv: 3e-3 },
-            Disturbance::Step { lead: 2, dv: -2e-3 },
+            StateChange::LeadStep { lead: 1, dv: 3e-3 },
+            StateChange::LeadStep { lead: 2, dv: -2e-3 },
         ]
     }
 
@@ -406,14 +384,14 @@ mod tests {
         let all: Vec<JunctionId> = c.junction_ids().collect();
         let some: Vec<JunctionId> = all.iter().copied().step_by(3).collect();
         let (mut n_tested, mut n_flagged) = (0, 0);
-        for entry in disturbances(&c) {
+        for change in changes(&c) {
             for tested in [&all, &some] {
                 let fresh_b0 = || -> Vec<f64> { (0..nj).map(|i| 1e-24 * i as f64).collect() };
                 let (mut b0_ref, mut flagged_ref) = (fresh_b0(), Vec::new());
                 for &j in tested.iter() {
                     let junction = c.junction(j);
-                    let dp_a = AdaptiveSolver::node_delta(&c, entry, junction.node_a);
-                    let dp_b = AdaptiveSolver::node_delta(&c, entry, junction.node_b);
+                    let dp_a = AdaptiveSolver::node_delta(&c, change, junction.node_a);
+                    let dp_b = AdaptiveSolver::node_delta(&c, change, junction.node_b);
                     let idx = j.index();
                     let b = b0_ref[idx] + E_CHARGE * (dp_a - dp_b);
                     if b.abs() >= threshold * dw_fw[idx].abs().min(dw_bw[idx].abs()) {
@@ -425,7 +403,7 @@ mod tests {
                 let (mut b0, mut flagged) = (fresh_b0(), Vec::new());
                 test_factors(
                     &c,
-                    entry,
+                    change,
                     tested,
                     threshold,
                     &dw_fw,
@@ -433,9 +411,9 @@ mod tests {
                     &mut b0,
                     &mut flagged,
                 );
-                assert_eq!(flagged, flagged_ref, "{entry:?}");
+                assert_eq!(flagged, flagged_ref, "{change:?}");
                 for (a, b) in b0.iter().zip(&b0_ref) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{entry:?}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "{change:?}");
                 }
                 n_tested += tested.len();
                 n_flagged += flagged.len();
@@ -501,13 +479,13 @@ mod tests {
     #[test]
     fn replay_fold_matches_sequential_per_entry_fold_bitwise() {
         let c = rig();
-        let kinds = disturbances(&c);
+        let kinds = changes(&c);
         // Window lengths around the lane width and the prefetch
         // threshold, none but the empty one a multiple of 8.
         for len in [0usize, 1, 7, 9, 31, 33, 67] {
-            let log: Vec<Disturbance> = (0..len)
+            let log: Vec<StateChange> = (0..len)
                 .map(|k| match kinds[k % kinds.len()] {
-                    Disturbance::Step { lead, .. } => Disturbance::Step {
+                    StateChange::LeadStep { lead, .. } => StateChange::LeadStep {
                         lead,
                         dv: 1e-4 * (k as f64 - 30.0),
                     },

@@ -547,26 +547,6 @@ impl<'c> Ensemble<'c> {
     }
 }
 
-/// Convenience wrapper: [`Ensemble::new`]`(…).with_warmup(warmup).run(opts)`.
-///
-/// # Errors
-///
-/// As [`Ensemble::run_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn par_ensemble(
-    circuit: &Circuit,
-    config: &SimConfig,
-    junction: JunctionId,
-    replicas: usize,
-    warmup: u64,
-    length: RunLength,
-    opts: ParOpts,
-) -> Result<EnsembleReport, CoreError> {
-    Ensemble::new(circuit, config.clone(), junction, replicas, length)
-        .with_warmup(warmup)
-        .run(opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,16 +677,9 @@ mod tests {
         })
         .unwrap();
         assert!(none.is_empty());
-        let one = par_ensemble(
-            &c,
-            &cfg,
-            j1,
-            1,
-            0,
-            RunLength::Events(50),
-            ParOpts::with_threads(8),
-        )
-        .unwrap();
+        let one = Ensemble::new(&c, cfg, j1, 1, RunLength::Events(50))
+            .run(ParOpts::with_threads(8))
+            .unwrap();
         assert_eq!(one.replicas(), 1);
     }
 

@@ -40,7 +40,7 @@ use crate::circuit::{Circuit, JunctionId, NodeId};
 use crate::energy::{lead_step_delta, potential_delta, CircuitState};
 use crate::fenwick::FenwickTree;
 use crate::health::{screen_finite, screen_rate, FaultStage};
-use crate::kernels::{self, Disturbance, ReplayEntry};
+use crate::kernels::{self, ReplayEntry};
 use crate::solver::{write_junction_rates, SolverContext, StateChange};
 use crate::CoreError;
 
@@ -134,11 +134,6 @@ impl AdaptiveSolver {
     pub fn with_dense_reference(mut self) -> Self {
         self.dense_reference = true;
         self
-    }
-
-    /// Is this solver in dense-reference mode?
-    pub fn is_dense_reference(&self) -> bool {
-        self.dense_reference
     }
 
     /// The threshold `θ`.
@@ -391,13 +386,13 @@ impl AdaptiveSolver {
     /// leads except the stepped lead itself) — the oracle's scalar
     /// form of the testing kernel's per-terminal delta.
     #[inline]
-    pub(crate) fn node_delta(circuit: &Circuit, entry: Disturbance, node: NodeId) -> f64 {
-        match entry {
-            Disturbance::Transfer { from, to, count } => match circuit.island_index(node) {
+    pub(crate) fn node_delta(circuit: &Circuit, change: StateChange, node: NodeId) -> f64 {
+        match change {
+            StateChange::Transfer { from, to, count } => match circuit.island_index(node) {
                 Some(k) => potential_delta(circuit, k, from, to, count),
                 None => 0.0,
             },
-            Disturbance::Step { lead, dv } => match circuit.island_index(node) {
+            StateChange::LeadStep { lead, dv } => match circuit.island_index(node) {
                 Some(k) => lead_step_delta(circuit, k, lead, dv),
                 None => {
                     if circuit.lead_index(node) == Some(lead) {
@@ -421,11 +416,7 @@ impl AdaptiveSolver {
         self.stats.events += 1;
         self.events_since_refresh += 1;
 
-        let entry = match change {
-            StateChange::Transfer { from, to, count } => Disturbance::Transfer { from, to, count },
-            StateChange::LeadStep { lead, dv } => Disturbance::Step { lead, dv },
-        };
-        self.log.push(ReplayEntry::resolve(circuit, entry));
+        self.log.push(ReplayEntry::resolve(circuit, change));
 
         if self.events_since_refresh >= self.refresh_interval {
             // Periodic full recalculation (paper: "all junction
@@ -459,7 +450,7 @@ impl AdaptiveSolver {
                         let member = ia.is_some_and(|i| circuit.junction_depends_on_island(i, j))
                             || ib.is_some_and(|i| circuit.junction_depends_on_island(i, j));
                         if member {
-                            self.test_junction(ctx, state, rates, entry, j)?;
+                            self.test_junction(ctx, state, rates, change, j)?;
                         }
                     }
                 } else {
@@ -498,21 +489,21 @@ impl AdaptiveSolver {
                         };
                         tested.push(j);
                     }
-                    self.process_tested(ctx, state, rates, entry, tested)?;
+                    self.process_tested(ctx, state, rates, change, tested)?;
                 }
             }
             StateChange::LeadStep { lead, .. } => {
                 if self.dense_reference {
                     for j in circuit.junction_ids() {
                         if circuit.junction_depends_on_lead(lead, j) {
-                            self.test_junction(ctx, state, rates, entry, j)?;
+                            self.test_junction(ctx, state, rates, change, j)?;
                         }
                     }
                 } else {
                     let mut tested = std::mem::take(&mut self.tested_scratch);
                     tested.clear();
                     tested.extend_from_slice(circuit.lead_dependents(lead));
-                    self.process_tested(ctx, state, rates, entry, tested)?;
+                    self.process_tested(ctx, state, rates, change, tested)?;
                 }
             }
         }
@@ -528,7 +519,7 @@ impl AdaptiveSolver {
         ctx: &SolverContext<'_>,
         state: &mut CircuitState,
         rates: &mut FenwickTree,
-        entry: Disturbance,
+        change: StateChange,
         tested: Vec<JunctionId>,
     ) -> Result<(), CoreError> {
         self.stats.junctions_tested += tested.len() as u64;
@@ -536,7 +527,7 @@ impl AdaptiveSolver {
         flagged.clear();
         kernels::test_factors(
             ctx.circuit,
-            entry,
+            change,
             &tested,
             self.threshold,
             &self.dw_fw,
@@ -566,14 +557,14 @@ impl AdaptiveSolver {
         ctx: &SolverContext<'_>,
         state: &mut CircuitState,
         rates: &mut FenwickTree,
-        entry: Disturbance,
+        change: StateChange,
         j: JunctionId,
     ) -> Result<(), CoreError> {
         let circuit = ctx.circuit;
         self.stats.junctions_tested += 1;
         let junction = *circuit.junction(j);
-        let dp_a = Self::node_delta(circuit, entry, junction.node_a);
-        let dp_b = Self::node_delta(circuit, entry, junction.node_b);
+        let dp_a = Self::node_delta(circuit, change, junction.node_a);
+        let dp_b = Self::node_delta(circuit, change, junction.node_b);
         // The testing factor accumulates in energy units: a potential
         // change δP across the junction shifts ΔW by e·δP (Eq. 2), so
         // it is e·b that is compared against θ·|ΔW'|.

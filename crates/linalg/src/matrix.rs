@@ -291,11 +291,6 @@ impl Matrix {
         self.lu()?.solve(b)
     }
 
-    /// Consumes the matrix and returns the row-major backing storage.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows the row-major backing storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data

@@ -35,10 +35,6 @@ pub struct Elaborated {
     pub set_count: usize,
     /// The parameters the circuit was built with.
     pub params: SetLogicParams,
-    /// Warning-severity findings from the structural checks (SC007
-    /// unused gate outputs). Electrical warnings live on
-    /// [`Circuit::check_warnings`].
-    pub warnings: semsim_check::Diagnostics,
 }
 
 impl Elaborated {
@@ -325,7 +321,6 @@ pub fn elaborate(logic: &LogicFile, params: &SetLogicParams) -> Result<Elaborate
 
     let set_count = builder.sets;
     let circuit = builder.b.build().map_err(LogicError::from)?;
-    let warnings = logic_warnings(logic);
     Ok(Elaborated {
         circuit,
         vdd_lead,
@@ -334,37 +329,7 @@ pub fn elaborate(logic: &LogicFile, params: &SetLogicParams) -> Result<Elaborate
         signal_nodes,
         set_count,
         params: *params,
-        warnings,
     })
-}
-
-/// Run the structural checker over an already-validated logic netlist.
-///
-/// Validation rules out hard errors (cycles, undriven signals), so only
-/// warning-severity findings — unused gate outputs (SC007) — survive.
-fn logic_warnings(logic: &LogicFile) -> semsim_check::Diagnostics {
-    let mut model = semsim_check::LogicModel::new();
-    for name in &logic.inputs {
-        model.add_input(name.clone());
-    }
-    for name in &logic.outputs {
-        model.add_output(name.clone());
-    }
-    for g in &logic.gates {
-        model.add_gate(g.output.clone(), g.inputs.iter().cloned());
-    }
-    let diags = semsim_check::check_logic(&model);
-    debug_assert!(
-        !diags.has_errors(),
-        "validated logic netlist produced checker errors"
-    );
-    let mut warnings = semsim_check::Diagnostics::new();
-    for d in diags {
-        if d.severity == semsim_check::Severity::Warning {
-            warnings.push(d);
-        }
-    }
-    warnings
 }
 
 #[cfg(test)]

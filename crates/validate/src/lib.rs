@@ -19,11 +19,10 @@
 //!   superconducting points and logic delays where no analytic model
 //!   exists; its own standard error enters the tolerance.
 //!
-//! The harness emits a byte-stable, human-readable pass/fail table, a
-//! schema-versioned machine report (`results/VALIDATE.json`, verified
-//! by `semsim json-verify`), and — separately, because wall-clock
-//! numbers must never leak into the byte-stable outputs — per-commit
-//! performance trend records (`results/BENCH_validate.json`).
+//! The harness emits a byte-stable, human-readable pass/fail table and
+//! a schema-versioned machine report (`results/VALIDATE.json`, verified
+//! by `semsim json-verify`). It measures no wall-clock time: the
+//! optimized-vs-dense speedup is the `hotpath` harness's job.
 //!
 //! See `docs/validation.md` for the grid, the tolerance math, and how
 //! to add a point.
@@ -32,13 +31,8 @@ pub mod grid;
 pub mod report;
 pub mod run;
 pub mod tolerance;
-pub mod trend;
 
 pub use grid::{grid, DeviceParams, GridPoint, LogicPoint, Profile, Reference, SetPoint};
 pub use report::{check_report, render_table, report_json};
 pub use run::{run_grid, run_points, PointResult, RunOptions, ValidationRun};
 pub use tolerance::{combined_sem, sem, tolerance};
-pub use trend::{
-    append_record, check_trend_file, load_records, measure_trend, render_file, summary_lines,
-    TrendRecord,
-};

@@ -4,8 +4,7 @@
 //! are deterministic functions of the grid and its pinned seeds (no
 //! wall-clock, no thread counts, no journal-restoration counts), so the
 //! golden tests can diff them bytewise and a `--resume`d run reproduces
-//! them exactly. Performance numbers live in the separate trend records
-//! (see [`crate::trend`]).
+//! them exactly.
 //!
 //! The machine report is schema-versioned (top-level
 //! `"schema": "semsim-validate"`, `"version": 1`) and re-verified by

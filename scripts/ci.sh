@@ -54,33 +54,38 @@ hotdir=$(mktemp -d)
 # so gating on a smaller "largest benchmark" would test the wrong claim.
 hotpath_out=$(./target/release/hotpath out="$hotdir/BENCH_hotpath.json")
 echo "$hotpath_out"
+ls153=$(grep -A3 '"name": "74LS153"' "$hotdir/BENCH_hotpath.json" \
+  | grep -oP '"speedup": \K[0-9.]+' || true)
 rm -rf "$hotdir"
+[ -n "$ls153" ] || { echo "FAIL: hotpath measured no 74LS153 row"; exit 1; }
 # The binary itself exits nonzero if the optimized solver's trajectory
-# is not bit-identical to the dense-reference oracle. The speedup floor
-# compares the two solvers within one run, so it is load-tolerant, but
-# a single-core host is still too noisy to gate on.
+# is not bit-identical to the dense-reference oracle. The speedup floors
+# compare the two solvers within one run, so they are load-tolerant, but
+# a single-core host is still too noisy to gate on. Beside c432's 2.5x,
+# 74LS153 (224 junctions) must reach 1.318x = 0.9 x 1.4647, its last
+# ratio under the retired per-commit trend. The floor is fixed: a
+# ratchet against the committed results/BENCH_hotpath.json would sit
+# inside this ratio's run-to-run spread.
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -ge 2 ]; then
   hspeed=$(echo "$hotpath_out" | grep -oP 'hotpath-speedup-largest: \K[0-9.]+')
   awk -v s="$hspeed" 'BEGIN { exit !(s >= 2.5) }' \
     || { echo "FAIL: hotpath speedup ${hspeed}x below the 2.5x floor (optimized vs dense reference)"; exit 1; }
+  awk -v s="$ls153" 'BEGIN { exit !(s >= 1.318) }' \
+    || { echo "FAIL: hotpath 74LS153 speedup ${ls153}x below the 1.318x floor (optimized vs dense reference)"; exit 1; }
 else
-  echo "skip: hotpath speedup floor needs >= 2 cores (host has $cores)"
+  echo "skip: hotpath speedup floors need >= 2 cores (host has $cores)"
 fi
 
-echo "==> semsim validate: byte-identical results/VALIDATE.json + perf trend ratchet"
+echo "==> semsim validate: byte-identical results/VALIDATE.json"
 # The grid is deterministic, so rerunning it under the commit label the
 # committed report records must reproduce results/VALIDATE.json byte for
-# byte: any change to a trajectory bit shows up here. The trend record
-# is appended to a scratch copy of the committed history, so the
-# ratchet compares against the last committed record and CI rewrites
-# nothing under results/.
+# byte: any change to a trajectory bit shows up here. The report goes to
+# a scratch directory, so CI rewrites nothing under results/.
 vdir=$(mktemp -d)
 vcommit=$(grep -oP '"commit": "\K[^"]+' results/VALIDATE.json)
-cp results/BENCH_validate.json "$vdir/BENCH_validate.json"
 if validate_out=$(./target/release/semsim validate \
-    --json "$vdir/VALIDATE.json" --trend "$vdir/BENCH_validate.json" \
-    --commit "$vcommit"); then
+    --json "$vdir/VALIDATE.json" --commit "$vcommit"); then
   echo "$validate_out"
 else
   echo "$validate_out"
@@ -90,26 +95,7 @@ cmp "$vdir/VALIDATE.json" results/VALIDATE.json \
   || { echo "FAIL: regenerated validation report differs from results/VALIDATE.json"; exit 1; }
 ./target/release/semsim json-verify results/VALIDATE.json \
   || { echo "FAIL: results/VALIDATE.json does not validate"; exit 1; }
-./target/release/semsim json-verify "$vdir/BENCH_validate.json" \
-  || { echo "FAIL: results/BENCH_validate.json plus the new record does not validate"; exit 1; }
 rm -rf "$vdir"
-# Perf trend ratchet: gate on the *interleaved* adaptive-vs-dense
-# speedup ratio against the previous record — both solvers run in the
-# same process windows, so machine-wide load cancels and a >10% drop
-# means the code got slower, not the host busier. Raw events/sec is
-# recorded for trend plots but not gated (it tracks the host). The
-# first record has no predecessor: skip with a message, never
-# fabricate a baseline.
-ratio=$(echo "$validate_out" | grep -oP 'validate-trend-ratio: \K\S+' || true)
-cores=$(nproc 2>/dev/null || echo 1)
-if [ "$ratio" = "none" ] || [ -z "$ratio" ]; then
-  echo "skip: no prior trend record to ratchet against (first run on this history)"
-elif [ "$cores" -ge 2 ]; then
-  awk -v r="$ratio" 'BEGIN { exit !(r >= 0.9) }' \
-    || { echo "FAIL: speedup trend ratio $ratio below the 0.9 floor (>10% regression vs previous record)"; exit 1; }
-else
-  echo "skip: trend ratchet needs >= 2 cores (host has $cores)"
-fi
 
 echo "==> semsim lint --deny warnings --format json (examples + clean fixtures)"
 # The shipped examples and the lint-clean fixtures must stay clean even

@@ -24,8 +24,7 @@
 //! * [`validate`] — the `semsim validate` cross-engine validation
 //!   harness: a declared grid of operating points comparing the
 //!   adaptive engine against the analytical baseline and the exact
-//!   non-adaptive solver under stated statistical tolerances, plus
-//!   per-commit performance trend records.
+//!   non-adaptive solver under stated statistical tolerances.
 //! * [`linalg`], [`quad`] — the numerical substrates.
 //!
 //! # Quickstart

@@ -14,7 +14,7 @@
 //!              [--data-dir DIR] [--max-job-seconds S] [--max-memory BYTES]
 //! semsim call <addr> <METHOD> <PATH> [BODY-FILE]
 //! semsim validate [--quick] [--seed N] [--threads N] [--json FILE]
-//!                 [--trend FILE] [--commit HASH] [--journal BASE] [--resume]
+//!                 [--commit HASH] [--journal BASE] [--resume]
 //! semsim chaos [--campaigns N] [--seed N] [--out DIR] [--replay FILE]
 //! ```
 //!
@@ -30,16 +30,15 @@
 //! individual codes from the command line (in-source `lint: allow`
 //! pragmas do the same per file). `json-verify` validates a JSON
 //! document read from FILE or stdin, dispatching on its top-level
-//! `schema` marker: `semsim-validate` reports and
-//! `semsim-validate-trend` files verify against the validation-harness
-//! schemas; anything else is checked as a schema-version-1 lint report.
+//! `schema` marker: `semsim-validate` reports verify against the
+//! validation-harness schema, a document without a marker is checked
+//! as a schema-version-1 lint report, and any other marker is an error.
 //!
 //! `validate` runs the cross-engine validation grid (see
 //! docs/validation.md): the adaptive Monte Carlo engine against the
 //! analytical SPICE baseline and the exact non-adaptive solver under
 //! stated statistical tolerances, printing a byte-stable pass/fail
-//! table and optionally a machine report (`--json`) and per-commit
-//! performance trend records (`--trend`).
+//! table and optionally a machine report (`--json`).
 //!
 //! `run` compiles a circuit netlist and executes a Monte Carlo run at
 //! the declared bias, optionally writing a binary checkpoint every N
@@ -100,14 +99,15 @@ commands:
   json-verify [FILE]
       Validate a semsim JSON document read from FILE (or stdin),
       dispatching on its top-level `schema` marker: `semsim-validate`
-      machine reports and `semsim-validate-trend` files verify against
-      the validation-harness schemas (every tolerance and verdict is
-      re-derived from the recorded inputs); anything else is checked as
-      a `semsim lint --format json` schema-version-1 report. Exit
-      status: 0 when the document validates, 1 otherwise.
+      machine reports verify against the validation-harness schema
+      (every tolerance and verdict is re-derived from the recorded
+      inputs); a document without a `schema` key is checked as a
+      `semsim lint --format json` schema-version-1 report; any other
+      marker is an error. Exit status: 0 when the document validates,
+      1 otherwise.
 
   validate [--quick] [--seed N] [--threads N] [--json FILE]
-           [--trend FILE] [--commit HASH] [--journal BASE] [--resume]
+           [--commit HASH] [--journal BASE] [--resume]
       Run the cross-engine validation grid: adaptive-solver ensembles
       at declared SET operating points (normal and superconducting)
       plus a logic-benchmark delay point, each compared against the
@@ -119,14 +119,11 @@ commands:
       grid (debug-build friendly); --seed rederives every point seed
       (default 42); --threads caps the worker pool (results are
       bit-identical for any value); --json writes the schema-versioned
-      machine report (verified by `semsim json-verify`); --trend
-      measures a performance trend record (74LS153 events/sec and
-      speedup over the dense-reference oracle) and appends it to
-      FILE, printing `validate-trend-ratio:` against the previous
-      record (`none` on the first); --journal BASE journals every
-      ensemble crash-safely under BASE.p<NN> and --resume restores
-      finished replicas (the count goes to stderr; stdout stays
-      byte-identical).
+      machine report (verified by `semsim json-verify`) under the
+      --commit label (default `unknown`); --journal BASE journals
+      every ensemble crash-safely under BASE.p<NN> and --resume
+      restores finished replicas (the count goes to stderr; stdout
+      stays byte-identical).
 
   run <netlist.cir> [--events N] [--threads N] [--checkpoint-every N]
                     [--checkpoint FILE] [--resume [FILE]]
@@ -444,8 +441,8 @@ fn lint_files(opts: &LintOpts) -> ExitCode {
     }
 }
 
-/// Executes `semsim json-verify`: validates a lint report read from the
-/// given file (or stdin) against the schema-version-1 contract.
+/// Executes `semsim json-verify`: validates a validation report or a
+/// lint report read from the given file (or stdin).
 fn json_verify(args: &[String]) -> ExitCode {
     if args.len() > 1 || args.iter().any(|a| a.starts_with("--")) {
         eprintln!("error: `semsim json-verify` takes at most one file argument\n\n{USAGE}");
@@ -469,21 +466,27 @@ fn json_verify(args: &[String]) -> ExitCode {
             buf
         }
     };
-    // Dispatch on the top-level `schema` marker: the validation-harness
-    // documents carry one; lint reports (schema version 1) do not.
-    let schema = semsim::check::parse_json(&text)
-        .ok()
-        .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
+    // Dispatch on the top-level `schema` marker: the validation report
+    // carries one; lint reports (schema version 1) do not. A marker of
+    // any other value (a retired schema, or not even a string) is named
+    // in the error rather than misreported as a broken lint report.
+    let schema = semsim::check::parse_json(&text).ok().and_then(|doc| {
+        doc.get("schema")
+            .map(|s| s.as_str().map_or_else(|| format!("{s:?}"), String::from))
+    });
     let (kind, result) = match schema.as_deref() {
         Some("semsim-validate") => (
             "semsim-validate report",
             semsim::validate::check_report(&text),
         ),
-        Some("semsim-validate-trend") => (
-            "semsim-validate trend file",
-            semsim::validate::check_trend_file(&text),
-        ),
-        _ => ("semsim lint report (schema version 1)", {
+        Some(other) => {
+            eprintln!(
+                "error: unknown schema `{other}` (known: `semsim-validate`; \
+                 a lint report has no `schema` key)"
+            );
+            return ExitCode::FAILURE;
+        }
+        None => ("semsim lint report (schema version 1)", {
             validate_report(&text)
         }),
     };
@@ -1215,19 +1218,10 @@ struct ValidateOpts {
     seed: u64,
     threads: usize,
     json: Option<String>,
-    trend: Option<String>,
     commit: String,
     journal: Option<String>,
     resume: bool,
 }
-
-/// Trend-measurement window: events per timed window, discarded warmup
-/// events, and interleaved windows per solver (min-of-N). Fixed — the
-/// trend file only makes sense when every record measures the same
-/// workload.
-const TREND_SAMPLE: u64 = 3_000;
-const TREND_WARMUP: u64 = 500;
-const TREND_REPEATS: u64 = 3;
 
 fn parse_validate_opts(args: &[String]) -> Result<ValidateOpts, String> {
     let mut opts = ValidateOpts {
@@ -1235,7 +1229,6 @@ fn parse_validate_opts(args: &[String]) -> Result<ValidateOpts, String> {
         seed: 42,
         threads: 0,
         json: None,
-        trend: None,
         commit: "unknown".to_string(),
         journal: None,
         resume: false,
@@ -1264,7 +1257,6 @@ fn parse_validate_opts(args: &[String]) -> Result<ValidateOpts, String> {
                 opts.threads = n;
             }
             "--json" => opts.json = Some(value("--json")?),
-            "--trend" => opts.trend = Some(value("--trend")?),
             "--commit" => opts.commit = value("--commit")?,
             "--journal" => opts.journal = Some(value("--journal")?),
             "--resume" => opts.resume = true,
@@ -1278,34 +1270,6 @@ fn parse_validate_opts(args: &[String]) -> Result<ValidateOpts, String> {
         return Err("`--resume` needs `--journal BASE`".into());
     }
     Ok(opts)
-}
-
-/// Measures a trend record and appends it to the trend file, printing
-/// the `validate-*` summary lines to stdout.
-fn record_trend(path: &str, commit: &str, seed: u64) -> Result<(), String> {
-    let rec =
-        semsim::validate::measure_trend(commit, TREND_SAMPLE, TREND_WARMUP, TREND_REPEATS, seed)?;
-    let existing = match std::fs::read_to_string(path) {
-        Ok(text) => Some(text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(format!("cannot read `{path}`: {e}")),
-    };
-    let previous = match existing.as_deref() {
-        Some(text) => semsim::validate::load_records(text)
-            .map_err(|e| format!("`{path}`: {e}"))?
-            .last()
-            .cloned(),
-        None => None,
-    };
-    print!(
-        "{}",
-        semsim::validate::summary_lines(previous.as_ref(), &rec)
-    );
-    let content = semsim::validate::append_record(existing.as_deref(), &rec)
-        .map_err(|e| format!("`{path}`: {e}"))?;
-    std::fs::write(path, &content).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    eprintln!("validate: appended trend record to {path}");
-    Ok(())
 }
 
 /// Executes `semsim validate`.
@@ -1346,12 +1310,6 @@ fn validate_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("validate: wrote {path}");
-    }
-    if let Some(path) = &opts.trend {
-        if let Err(e) = record_trend(path, &opts.commit, opts.seed) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     if run.all_pass() {
         ExitCode::SUCCESS

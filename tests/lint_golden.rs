@@ -2,7 +2,8 @@
 //! netlist per diagnostic code under `tests/fixtures/lint/`, each
 //! asserting the expected code, severity, and line span.
 
-use semsim::check::{DiagCode, Diagnostics, Severity};
+use semsim::check::{check_logic, DiagCode, Diagnostics, LogicModel, Severity};
+use semsim::logic::Benchmark;
 use semsim::netlist::{lint_circuit, lint_logic, CircuitFile, RawLogicFile};
 
 fn fixture(name: &str) -> (String, Diagnostics) {
@@ -346,4 +347,26 @@ fn shipped_examples_are_clean() {
         checked >= 3,
         "expected at least 3 example netlists, found {checked}"
     );
+}
+
+#[test]
+fn paper_benchmarks_pass_the_logic_checks() {
+    // `LogicFile` parse validation already rejects the structural
+    // errors (cycles, undriven signals), so no validated benchmark
+    // netlist may carry a `check_logic` error.
+    for bench in Benchmark::all() {
+        let logic = bench.logic();
+        let mut model = LogicModel::new();
+        for name in &logic.inputs {
+            model.add_input(name.clone());
+        }
+        for name in &logic.outputs {
+            model.add_output(name.clone());
+        }
+        for g in &logic.gates {
+            model.add_gate(g.output.clone(), g.inputs.iter().cloned());
+        }
+        let diags = check_logic(&model);
+        assert!(!diags.has_errors(), "{}: {diags:?}", bench.name());
+    }
 }

@@ -85,3 +85,33 @@ fn tampered_fixture_fails_verification() {
         "a flipped verdict must fail verification"
     );
 }
+
+#[test]
+fn json_verify_names_an_unknown_schema() {
+    // A retired schema must be refused by name, not misreported as a
+    // lint report with a missing `schema_version`.
+    use std::io::Write as _;
+    let doc = "{\"schema\": \"semsim-validate-trend\", \"version\": 2, \"records\": \
+               [{\"commit\": \"abc\", \"benchmark\": \"74LS153\", \
+               \"events_per_sec\": 2.5e5, \"speedup_dense\": 1.4647}]}";
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_semsim"))
+        .arg("json-verify")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn semsim json-verify");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(doc.as_bytes())
+        .expect("write document");
+    let out = child.wait_with_output().expect("wait for json-verify");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown schema `semsim-validate-trend`"),
+        "json-verify must name the schema: {stderr}"
+    );
+}
