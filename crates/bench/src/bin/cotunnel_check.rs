@@ -12,10 +12,11 @@
 
 use semsim_bench::args::Args;
 use semsim_bench::devices::fig1_set;
+use semsim_core::batch::{batch_sweep, BatchOpts};
 use semsim_core::constants::thermal_energy;
 use semsim_core::cotunnel::analytic_cotunnel_current;
 use semsim_core::energy::{delta_w, CircuitState};
-use semsim_core::engine::{linspace, sweep, SimConfig};
+use semsim_core::engine::{linspace, SimConfig};
 use semsim_core::CoreError;
 
 fn main() -> Result<(), CoreError> {
@@ -44,18 +45,21 @@ fn main() -> Result<(), CoreError> {
         (eps_in, eps_out)
     };
 
-    let pts = sweep(
+    let pts = batch_sweep(
         &dev.circuit,
         &config,
         dev.j1,
         &biases,
         events / 20,
         events,
-        |sim, v| {
+        &BatchOpts::default(),
+        |sim, v, _spec| {
             sim.set_lead_voltage(dev.source_lead, v / 2.0)?;
             sim.set_lead_voltage(dev.drain_lead, -v / 2.0)
         },
-    )?;
+    )?
+    .values()
+    .expect("every sweep point measured");
 
     println!("# Cotunneling validation — SET in blockade, T = {temp} K");
     println!("# V(V)      I_mc(A)        I_analytic(A)   ratio");

@@ -10,8 +10,8 @@
 
 use semsim_bench::args::Args;
 use semsim_bench::devices::fig1_set;
+use semsim_core::batch::{batch_sweep, BatchOpts};
 use semsim_core::engine::{linspace, SimConfig};
-use semsim_core::par::par_sweep;
 use semsim_core::CoreError;
 
 fn main() -> Result<(), CoreError> {
@@ -19,7 +19,10 @@ fn main() -> Result<(), CoreError> {
     let events = args.u64_or("events", 20_000);
     let points = args.usize_or("points", 41);
     let seed = args.u64_or("seed", 42);
-    let opts = args.par_opts();
+    let opts = BatchOpts {
+        par: args.par_opts(),
+        ..BatchOpts::default()
+    };
 
     let dev = fig1_set()?;
     let config = SimConfig::new(5.0).with_seed(seed);
@@ -28,20 +31,22 @@ fn main() -> Result<(), CoreError> {
 
     let mut columns = Vec::new();
     for &vg in &gate_voltages {
-        let pts = par_sweep(
+        let pts = batch_sweep(
             &dev.circuit,
             &config,
             dev.j1,
             &biases,
             events / 20,
             events,
-            opts,
-            |sim, vds| {
+            &opts,
+            |sim, vds, _spec| {
                 sim.set_lead_voltage(dev.source_lead, vds / 2.0)?;
                 sim.set_lead_voltage(dev.drain_lead, -vds / 2.0)?;
                 sim.set_lead_voltage(dev.gate_lead, vg)
             },
-        )?;
+        )?
+        .values()
+        .expect("every sweep point measured");
         columns.push(pts);
     }
 

@@ -20,10 +20,10 @@
 use semsim_bench::args::Args;
 use semsim_bench::devices::{fig5_params, fig5_set};
 use semsim_bench::features::{best_pair_detuning, qp_transport_open};
+use semsim_core::batch::{batch_sweep, BatchOpts};
 use semsim_core::constants::HBAR;
 use semsim_core::energy::CircuitState;
 use semsim_core::engine::{linspace, SimConfig};
-use semsim_core::par::par_map2d;
 use semsim_core::superconduct::{gap_at, QpRateTable};
 use semsim_core::CoreError;
 
@@ -34,7 +34,10 @@ fn main() -> Result<(), CoreError> {
     let ng = args.usize_or("ng", 26);
     let temp = args.f64_or("temp", 0.52);
     let seed = args.u64_or("seed", 7);
-    let opts = args.par_opts();
+    let opts = BatchOpts {
+        par: args.par_opts(),
+        ..BatchOpts::default()
+    };
 
     let dev = fig5_set()?;
     let params = fig5_params()?;
@@ -58,26 +61,27 @@ fn main() -> Result<(), CoreError> {
 
     println!("# Fig. 5 — SSET current map, T = {temp} K, Qb = 0.65 e");
     println!("# vb(V) vg(V) I(A)");
-    // Row-major map over the (gate, bias) grid on the deterministic
-    // parallel driver; the printed values are identical for any thread
-    // count.
-    let map = par_map2d(
+    // One sweep over the flattened gate-major grid: task `t` is bias
+    // `t % nb` at gate `t / nb`, so its seed is the cell's row-major
+    // index. The printed values are identical for any thread count.
+    let map = batch_sweep(
         &dev.circuit,
         &config,
         dev.j1,
-        &biases,
-        &gates,
+        &biases.repeat(gates.len()),
         events / 10,
         events,
-        opts,
-        |sim, vb, vg| {
+        &opts,
+        |sim, vb, spec| {
             sim.set_lead_voltage(dev.source_lead, vb)?;
-            sim.set_lead_voltage(dev.gate_lead, vg)
+            sim.set_lead_voltage(dev.gate_lead, gates[spec.task / biases.len()])
         },
-    )?;
-    for row in map.chunks(biases.len()) {
+    )?
+    .values()
+    .expect("every map cell measured");
+    for (row, &vg) in map.chunks(biases.len()).zip(&gates) {
         for p in row {
-            println!("{:>10.4e} {:>10.4e} {:>12.4e}", p.x, p.y, p.current);
+            println!("{:>10.4e} {:>10.4e} {:>12.4e}", p.control, vg, p.current);
         }
         println!();
     }

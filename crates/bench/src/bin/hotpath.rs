@@ -28,7 +28,9 @@
 use semsim_bench::args::Args;
 use semsim_bench::devices::fig1_set;
 use semsim_bench::timing::measure_pair;
-use semsim_core::engine::{linspace, sweep, Record, SimConfig, Simulation, SolverSpec};
+use semsim_core::batch::{batch_sweep, BatchOpts};
+use semsim_core::engine::{linspace, Record, SimConfig, Simulation, SolverSpec};
+use semsim_core::par::ParOpts;
 use semsim_core::CoreError;
 use semsim_logic::{elaborate, Benchmark, SetLogicParams};
 
@@ -39,11 +41,26 @@ fn sweep_bit_identity(seed: u64) -> Result<(), String> {
     let controls = linspace(10e-3, 40e-3, 6);
     let run = |spec: SolverSpec| {
         let cfg = SimConfig::new(0.1).with_seed(seed).with_solver(spec);
-        sweep(&d.circuit, &cfg, d.j1, &controls, 300, 1200, |sim, v| {
-            sim.set_lead_voltage(d.source_lead, v / 2.0)?;
-            sim.set_lead_voltage(d.drain_lead, -v / 2.0)
-        })
-        .map_err(|e| e.to_string())
+        let serial = BatchOpts {
+            par: ParOpts::serial(),
+            ..BatchOpts::default()
+        };
+        batch_sweep(
+            &d.circuit,
+            &cfg,
+            d.j1,
+            &controls,
+            300,
+            1200,
+            &serial,
+            |sim, v, _spec| {
+                sim.set_lead_voltage(d.source_lead, v / 2.0)?;
+                sim.set_lead_voltage(d.drain_lead, -v / 2.0)
+            },
+        )
+        .map_err(|e| e.to_string())?
+        .values()
+        .ok_or_else(|| "a sweep point faulted".to_string())
     };
     let opt = run(SolverSpec::Adaptive {
         threshold: 0.05,

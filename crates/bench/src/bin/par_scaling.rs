@@ -17,8 +17,9 @@ use std::time::Instant;
 
 use semsim_bench::args::Args;
 use semsim_bench::devices::{fig5_params, fig5_set};
+use semsim_core::batch::{batch_sweep, BatchOpts};
 use semsim_core::engine::{linspace, SimConfig};
-use semsim_core::par::{available_threads, par_map2d, ParOpts};
+use semsim_core::par::{available_threads, ParOpts};
 use semsim_core::superconduct::{gap_at, QpRateTable};
 use semsim_core::CoreError;
 
@@ -47,20 +48,26 @@ fn main() -> Result<(), CoreError> {
 
     let run = |threads: usize| -> Result<(Vec<u64>, f64), CoreError> {
         let t0 = Instant::now();
-        let map = par_map2d(
+        let opts = BatchOpts {
+            par: ParOpts::with_threads(threads),
+            ..BatchOpts::default()
+        };
+        // The flattened gate-major grid, as fig5 sweeps it.
+        let map = batch_sweep(
             &dev.circuit,
             &config,
             dev.j1,
-            &biases,
-            &gates,
+            &biases.repeat(gates.len()),
             events / 10,
             events,
-            ParOpts::with_threads(threads),
-            |sim, vb, vg| {
+            &opts,
+            |sim, vb, spec| {
                 sim.set_lead_voltage(dev.source_lead, vb)?;
-                sim.set_lead_voltage(dev.gate_lead, vg)
+                sim.set_lead_voltage(dev.gate_lead, gates[spec.task / biases.len()])
             },
-        )?;
+        )?
+        .values()
+        .expect("every map cell measured");
         let wall = t0.elapsed().as_secs_f64();
         Ok((map.iter().map(|p| p.current.to_bits()).collect(), wall))
     };

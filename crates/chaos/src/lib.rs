@@ -29,7 +29,7 @@
 //! exactly that campaign.
 //!
 //! The runner needs the `fault-inject` feature (it scripts faults
-//! through [`semsim_core::batch::BatchFaultPlan`]); without it the
+//! through `semsim_core::batch::BatchFaultPlan`); without it the
 //! entry points return an error explaining how to get a chaos-capable
 //! build. The `known-bug` feature plants one deliberate recovery bug
 //! so CI can prove the harness catches and minimizes real defects.

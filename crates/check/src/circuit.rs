@@ -13,7 +13,7 @@ pub const CONDITION_THRESHOLD: f64 = 1e12;
 /// (singular capacitance matrix), SC003 (ill-conditioned capacitance
 /// matrix), SC005 (tunnel-unreachable islands), and — when the model
 /// carries dataflow facts — the influence-reachability diagnostics
-/// SC014–SC018 (see [`crate::reach`]).
+/// SC014–SC018 (the `reach` pass).
 pub fn check_circuit(model: &CircuitModel) -> Diagnostics {
     let mut diags = Diagnostics::new();
 

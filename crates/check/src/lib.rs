@@ -12,7 +12,7 @@
 //! ([`CircuitModel`] / [`LogicModel`] record sources, swept parameters,
 //! stimuli, probes and observed junctions, not just topology), an
 //! influence-reachability pass over the capacitance graph
-//! ([`reach`]-module diagnostics SC014–SC018), and machine-applicable
+//! (the `reach` pass, diagnostics SC014–SC018), and machine-applicable
 //! fix-it suggestions ([`Suggestion`]) that `semsim lint --fix` applies
 //! in place.
 //!

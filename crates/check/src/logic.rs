@@ -8,7 +8,7 @@ use crate::{DiagCode, Diagnostic, Diagnostics, Span};
 /// Runs the structural checks: SC006 (combinational loops), SC007
 /// (undriven inputs — errors; unused gate outputs — warnings), and
 /// SC014 (dead primary inputs with no fanout path to any primary
-/// output, see [`crate::reach`]).
+/// output; the `reach` pass).
 pub fn check_logic(model: &LogicModel) -> Diagnostics {
     let mut diags = Diagnostics::new();
     let input_set: HashSet<&str> = model.inputs.iter().map(|(n, _)| n.as_str()).collect();

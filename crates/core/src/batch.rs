@@ -1,28 +1,30 @@
-//! Resilient batch execution: per-point retry with graceful
+//! The sweep and ensemble drivers: per-point retry with graceful
 //! degradation, partial-result salvage, and journaled resume on top of
 //! the deterministic work queue in [`crate::par`].
 //!
-//! The plain parallel drivers are all-or-nothing: one
-//! [`CoreError::NumericalFault`] (or one panic) discards every point a
-//! long sweep already computed. The batch drivers here
-//! ([`batch_sweep`], [`batch_ensemble`]) instead give each point its
-//! own small supervisor:
+//! [`batch_sweep`] measures one point per control value (an I–V sweep;
+//! a 2-D map such as Fig. 5 is a sweep over the flattened grid whose
+//! `setup` reads the slow axis from the task index) and
+//! [`batch_ensemble`] runs independent replicas of one circuit. One
+//! [`CoreError::NumericalFault`] (or one panic) never discards the
+//! points a long batch already computed: each point gets its own small
+//! supervisor:
 //!
-//! 1. **Attempt ladder.** A point runs as attempt 1 with exactly the
-//!    seed the plain drivers use (`split_seed(master, task)`), so a
-//!    fault-free batch is bit-identical to [`crate::par::par_sweep`] /
-//!    [`crate::engine::sweep`]. On a *retryable* fault (numerical
-//!    fault or panic) the point is retried up to
-//!    [`RetryPolicy::max_retries`] times, each attempt derived purely
-//!    from `(task, attempt)`:
+//! 1. **Attempt ladder.** A point runs as attempt 1 with the seed
+//!    `split_seed(master, task)`, so a fault-free batch is a pure
+//!    function of the master seed and the point index. On a
+//!    *retryable* fault (numerical fault or panic) the point is
+//!    retried up to [`RetryPolicy::max_retries`] times, each attempt
+//!    derived purely from `(task, attempt)`:
 //!    - a panic on the first attempt reruns with **identical** seed and
 //!      parameters ([`RecoveryAction::RerunSame`] — the
 //!      transient-crash assumption), so a once-panicking point recovers
 //!      to the exact clean-run value;
 //!    - otherwise the point is **reseeded**
-//!      (`split_seed(master, task · attempt)`) with the adaptive
-//!      threshold θ tightened by [`RetryPolicy::tighten_factor`] per
-//!      retry ([`RecoveryAction::ReseedTightened`]);
+//!      (`split_seed(split_seed(master, task), attempt)`, a stream no
+//!      other point or attempt draws) with the adaptive threshold θ
+//!      tightened by [`RetryPolicy::tighten_factor`] per retry
+//!      ([`RecoveryAction::ReseedTightened`]);
 //!    - the final attempt may drop to the non-adaptive reference solver
 //!      ([`RecoveryAction::SolverFallback`]) when
 //!      [`RetryPolicy::solver_fallback`] is set.
@@ -169,14 +171,16 @@ pub struct BatchOpts {
 /// What kind of recovery step an attempt is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// Attempt 1: the plain driver's exact seed and parameters.
+    /// Attempt 1: seed `split_seed(master, task)` and the batch's own
+    /// parameters.
     Initial,
     /// Rerun with identical seed and parameters after a panic on the
     /// initial attempt (transient-crash assumption — on success the
     /// value is bit-identical to the clean run).
     RerunSame,
-    /// New seed (`split_seed(master, task · attempt)`) and a tightened
-    /// adaptive threshold.
+    /// New seed and a tightened adaptive threshold. Attempt `a ≥ 2`
+    /// of `task` draws from `split_seed(split_seed(master, task), a)`,
+    /// a stream no other point or attempt of the batch uses.
     ReseedTightened,
     /// New seed and the non-adaptive reference solver.
     SolverFallback,
@@ -251,7 +255,7 @@ impl TaskFault {
 /// How one point of a batch finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointStatus {
-    /// First attempt succeeded — bit-identical to the plain drivers.
+    /// First attempt succeeded — the fault-free value.
     Ok,
     /// A retry succeeded after `attempts` total attempts.
     Recovered {
@@ -399,8 +403,7 @@ impl<T> BatchReport<T> {
 }
 
 /// Applies an attempt's seed, θ-scale, and solver fallback to a
-/// configuration. Attempt 1 leaves everything but the seed untouched,
-/// and the seed it applies is exactly the plain drivers' split seed.
+/// configuration. Attempt 1 leaves everything but the seed untouched.
 fn attempt_config(config: &SimConfig, spec: &AttemptSpec) -> SimConfig {
     let mut cfg = config.clone().with_seed(spec.seed);
     if spec.fallback {
@@ -430,7 +433,7 @@ fn effective_config(config: &SimConfig, opts: &BatchOpts) -> SimConfig {
     cfg
 }
 
-/// The first attempt of `task`: the plain drivers' exact parameters.
+/// The first attempt of `task`: its split seed, the batch's parameters.
 fn initial_spec(master_seed: u64, task: usize) -> AttemptSpec {
     AttemptSpec {
         task,
@@ -461,8 +464,8 @@ fn next_spec(
         };
     }
     let seed = split_seed(
-        master_seed,
-        (spec.task as u64).wrapping_mul(u64::from(attempt)),
+        split_seed(master_seed, spec.task as u64),
+        u64::from(attempt),
     );
     if attempt == policy.max_attempts() && policy.solver_fallback {
         AttemptSpec {
@@ -750,6 +753,12 @@ fn fingerprint_config(w: &mut Writer, config: &SimConfig) {
 }
 
 fn fingerprint_policy(w: &mut Writer, policy: &RetryPolicy) {
+    // Retry-seed scheme 2: `split_seed(split_seed(master, task),
+    // attempt)`. Scheme 1 reseeded with `split_seed(master, task ·
+    // attempt)`, which replayed task 0's own stream and sibling points'
+    // initial streams; this word makes a journal written under it fail
+    // with `JournalMismatch` rather than restore points it recovered.
+    w.u32(2);
     w.u32(policy.max_retries);
     w.f64(policy.tighten_factor);
     w.u32(u32::from(policy.solver_fallback));
@@ -776,17 +785,21 @@ fn sweep_fingerprint(
     fnv1a64(&w.buf)
 }
 
-/// Resilient I–V sweep: the computation of
-/// [`crate::par::par_sweep`] with per-point retry, salvage, and
-/// optional journaling (see the module docs for the recovery ladder).
+/// Resilient I–V sweep: one point per `controls` value, each a fresh
+/// simulation of `circuit` with `setup` applied, `warmup` discarded
+/// events, and `events` measured events through `junction`. Point `i`
+/// first runs with `split_seed(config.seed, i)`; retry, salvage, and
+/// optional journaling follow the module docs. A fully blockaded point
+/// reads zero current with [`RunOutcome::Blockaded`], distinguishable
+/// from a point its supervisor budget truncated.
 ///
 /// `setup(sim, control, spec)` applies the control value; the
 /// [`AttemptSpec`] identifies which attempt of which point is being set
-/// up (fault-injection tests arm their plans through it; ordinary
-/// callers ignore it).
+/// up (a 2-D map reads its slow axis from `spec.task`; fault-injection
+/// tests arm their plans through it; other callers ignore it).
 ///
-/// Fault-free behavior is bit-identical to [`crate::par::par_sweep`]
-/// and [`crate::engine::sweep`] at any thread count.
+/// Fault-free results are bit-identical at any thread count;
+/// [`BatchReport::values`] returns them in control order.
 ///
 /// # Errors
 ///
@@ -852,11 +865,9 @@ where
     )
 }
 
-/// The journalable summary of one ensemble replica. The full
-/// [`crate::engine::Record`] (probe traces, per-junction counts) stays
-/// in memory only for the plain [`crate::par::Ensemble`] driver; the
-/// batch layer keeps the part every consumer of ensemble statistics
-/// uses, small enough to journal.
+/// The journalable summary of one ensemble replica: the part of its
+/// [`crate::engine::Record`] every consumer of ensemble statistics
+/// uses (probe traces and per-junction counts are not kept).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaSummary {
     /// Time-averaged current (A) through the recorded junction.
@@ -927,8 +938,8 @@ impl EnsembleStats {
 }
 
 impl BatchReport<ReplicaSummary> {
-    /// Computes replica statistics — identical to
-    /// [`crate::par::EnsembleReport`]'s when no replica faulted.
+    /// Computes replica statistics over the replicas that carry a
+    /// value, folded in replica order.
     #[must_use]
     pub fn ensemble_stats(&self) -> EnsembleStats {
         let currents: Vec<f64> = self
@@ -982,11 +993,14 @@ fn ensemble_fingerprint(
     fnv1a64(&w.buf)
 }
 
-/// Resilient independent-replica ensemble: the computation of
-/// [`crate::par::Ensemble`] with per-replica retry, salvage, and
-/// optional journaling. Replica `r` runs with
-/// `split_seed(config.seed, r)` and blockade-as-outcome, exactly as
-/// there; `setup(sim, replica, spec)` runs before warmup.
+/// Resilient independent-replica ensemble: `replicas` statistically
+/// independent runs of `length` on `circuit`, replica `r` first seeded
+/// with `split_seed(config.seed, r)`, with per-replica retry, salvage,
+/// and optional journaling. Replicas run with
+/// [`Supervisor::blockade_is_outcome`] set: a frozen replica is data
+/// ([`RunOutcome::Blockaded`], tallied in the report), not a fault.
+/// `setup(sim, replica, spec)` runs before warmup; statistics come
+/// from [`BatchReport::ensemble_stats`].
 ///
 /// # Errors
 ///
@@ -1200,17 +1214,44 @@ mod tests {
         // A second panic is no longer treated as transient.
         let spec3 = next_spec(7, &spec2, &panic_fault, &policy);
         assert_eq!(spec3.action, RecoveryAction::SolverFallback);
-        assert_eq!(spec3.seed, split_seed(7, 5 * 3));
+        assert_eq!(spec3.seed, split_seed(split_seed(7, 5), 3));
         assert!(spec3.fallback);
 
         // Numerical faults reseed+tighten immediately.
         let nf = TaskFault::Error(numerical_fault());
         let s2 = next_spec(7, &spec1, &nf, &policy);
         assert_eq!(s2.action, RecoveryAction::ReseedTightened);
-        assert_eq!(s2.seed, split_seed(7, 5 * 2));
+        assert_eq!(s2.seed, split_seed(split_seed(7, 5), 2));
         assert_eq!(s2.theta_scale, 0.5);
         let s3 = next_spec(7, &s2, &nf, &policy);
         assert_eq!(s3.action, RecoveryAction::SolverFallback);
+    }
+
+    #[test]
+    fn retry_seeds_never_alias_another_stream() {
+        // Every seed a ladder can reseed with — tasks 0..8, attempts
+        // 1..3 on the numerical-fault ladder — is its own stream: a
+        // retry never replays its own failed stream or a sibling
+        // point's.
+        let policy = RetryPolicy::default();
+        let nf = TaskFault::Error(numerical_fault());
+        let mut seen = std::collections::HashSet::new();
+        for task in 0..8 {
+            let mut spec = initial_spec(33, task);
+            loop {
+                assert_ne!(spec.action, RecoveryAction::RerunSame);
+                assert!(
+                    seen.insert(spec.seed),
+                    "task {task} attempt {} reuses a seed",
+                    spec.attempt
+                );
+                if spec.attempt == policy.max_attempts() {
+                    break;
+                }
+                spec = next_spec(33, &spec, &nf, &policy);
+            }
+        }
+        assert_eq!(seen.len(), 8 * 3);
     }
 
     #[test]

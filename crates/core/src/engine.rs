@@ -1,6 +1,6 @@
 //! The Monte Carlo engine (paper Fig. 3): event-driven kinetic Monte
 //! Carlo over the circuit's tunnel events, with stimuli, probes, and
-//! sweep drivers.
+//! the per-point measurement the sweep driver in [`crate::batch`] runs.
 //!
 //! Each iteration: (1) the chosen solver refreshes first-order rates
 //! (adaptively or not), and cotunneling / Cooper-pair rates are
@@ -1276,13 +1276,14 @@ impl SweepPoint {
     }
 }
 
-/// Measures one sweep/map point from an **already-seeded** config: a
+/// Measures one sweep point from an **already-seeded** config: a
 /// fresh simulation of `circuit`, `setup` applied, `warmup` discarded
 /// events, `events` measured events through `junction`. The per-point
-/// health report rides along so batch drivers can merge it. This is the
-/// primitive under both [`run_sweep_point`] (which derives the seed
-/// from the task index) and the retrying batch layer in
-/// [`crate::batch`] (which derives it from task *and* attempt).
+/// health report rides along so the batch layer can merge it. This is
+/// the per-attempt primitive of [`crate::batch::batch_sweep`], which
+/// derives the seed from the point's task and attempt. A blockade stall
+/// (zero total rate) is the physical reading of a Coulomb-blockaded
+/// device: zero current with [`RunOutcome::Blockaded`], not an error.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_point_seeded<F>(
     circuit: &Circuit,
@@ -1321,71 +1322,6 @@ where
             }
         },
     }
-}
-
-/// Measures one sweep/map point: a fresh simulation of `circuit` with
-/// the task's split seed, `setup` applied, `warmup` discarded events,
-/// `events` measured events through `junction`. Shared by the serial
-/// [`sweep`] and the parallel drivers in [`crate::par`] — bit-identical
-/// results regardless of the caller.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep_point<F>(
-    circuit: &Circuit,
-    config: &SimConfig,
-    junction: JunctionId,
-    task: u64,
-    control: f64,
-    warmup: u64,
-    events: u64,
-    setup: &mut F,
-) -> Result<SweepPoint, CoreError>
-where
-    F: FnMut(&mut Simulation<'_>, f64) -> Result<(), CoreError> + ?Sized,
-{
-    let cfg = config
-        .clone()
-        .with_seed(crate::rng::split_seed(config.seed, task));
-    run_point_seeded(circuit, cfg, junction, control, warmup, events, setup).map(|(p, _)| p)
-}
-
-/// Sweeps a control variable, building a fresh simulation per point.
-///
-/// `setup(sim, x)` applies the control value (e.g. sets bias leads);
-/// `warmup` events are discarded before `events` measured events. The
-/// current is measured through `junction`. Each point draws from its
-/// own PRNG stream derived by [`crate::rng::split_seed`] from
-/// `(config.seed, point index)`, so this serial driver and the parallel
-/// [`crate::par::par_sweep`] produce bit-identical results.
-///
-/// Points where the device is fully blockaded (zero total rate, which
-/// [`Simulation::run`] reports as a stall) record zero current — that is
-/// the physically correct reading for a Coulomb-blockaded device at the
-/// measurement precision of a finite run; such points carry
-/// [`RunOutcome::Blockaded`] so they stay distinguishable from points
-/// truncated by a supervisor budget.
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`Simulation::new`].
-pub fn sweep<F>(
-    circuit: &Circuit,
-    config: &SimConfig,
-    junction: JunctionId,
-    controls: &[f64],
-    warmup: u64,
-    events: u64,
-    mut setup: F,
-) -> Result<Vec<SweepPoint>, CoreError>
-where
-    F: FnMut(&mut Simulation<'_>, f64) -> Result<(), CoreError>,
-{
-    let mut out = Vec::with_capacity(controls.len());
-    for (i, &x) in controls.iter().enumerate() {
-        out.push(run_sweep_point(
-            circuit, config, junction, i as u64, x, warmup, events, &mut setup,
-        )?);
-    }
-    Ok(out)
 }
 
 /// Builds an inclusive linear grid of `n ≥ 2` points from `a` to `b`.
@@ -1551,15 +1487,30 @@ mod tests {
         );
     }
 
+    /// The batch sweep's values at `controls` under symmetric bias.
+    fn swept(c: &Circuit, cfg: &SimConfig, j: JunctionId, controls: &[f64]) -> Vec<SweepPoint> {
+        crate::batch::batch_sweep(
+            c,
+            cfg,
+            j,
+            controls,
+            100,
+            2_000,
+            &crate::batch::BatchOpts::default(),
+            |sim, v, _spec| {
+                sim.set_lead_voltage(1, v / 2.0)?;
+                sim.set_lead_voltage(2, -v / 2.0)
+            },
+        )
+        .unwrap()
+        .values()
+        .unwrap()
+    }
+
     #[test]
     fn sweep_records_blockade_as_zero() {
         let (c, j1, _) = paper_set();
-        let cfg = SimConfig::new(0.01);
-        let pts = sweep(&c, &cfg, j1, &[1e-3, 40e-3], 100, 2_000, |sim, v| {
-            sim.set_lead_voltage(1, v / 2.0)?;
-            sim.set_lead_voltage(2, -v / 2.0)
-        })
-        .unwrap();
+        let pts = swept(&c, &SimConfig::new(0.01), j1, &[1e-3, 40e-3]);
         assert_eq!(pts[0].current, 0.0, "blockaded point reads zero");
         assert!(matches!(pts[0].outcome, RunOutcome::Blockaded { .. }));
         assert!(pts[0].is_measured(), "blockade zero is a physical reading");
@@ -1575,11 +1526,7 @@ mod tests {
         // budget expired before a single event was measured. Before
         // `SweepPoint::outcome` both collapsed to `current == 0.0`.
         let (c, j1, _) = paper_set();
-        let bias = |sim: &mut Simulation<'_>, v: f64| {
-            sim.set_lead_voltage(1, v / 2.0)?;
-            sim.set_lead_voltage(2, -v / 2.0)
-        };
-        let blocked = sweep(&c, &SimConfig::new(0.01), j1, &[1e-3], 100, 2_000, bias).unwrap();
+        let blocked = swept(&c, &SimConfig::new(0.01), j1, &[1e-3]);
         assert_eq!(blocked[0].current, 0.0);
         assert!(matches!(blocked[0].outcome, RunOutcome::Blockaded { .. }));
         assert!(blocked[0].is_measured());
@@ -1590,7 +1537,7 @@ mod tests {
             wall_clock_budget: Some(1e-12),
             ..Supervisor::default()
         });
-        let cut = sweep(&c, &strangled, j1, &[40e-3], 100, 2_000, bias).unwrap();
+        let cut = swept(&c, &strangled, j1, &[40e-3]);
         assert_eq!(cut[0].current, 0.0);
         assert!(
             matches!(cut[0].outcome, RunOutcome::WallClockExceeded { .. }),

@@ -8,7 +8,7 @@
 //!
 //! * **Health guards** — every produced tunnel rate, ΔW, and island
 //!   potential is screened at the point of production
-//!   ([`screen_rate`]/[`screen_finite`]); poison surfaces as a
+//!   (`screen_rate`/`screen_finite`); poison surfaces as a
 //!   structured [`CoreError::NumericalFault`](crate::CoreError) instead
 //!   of propagating.
 //! * **Drift audit** — every `N` events (see
@@ -21,7 +21,7 @@
 //!   [`RunOutcome`] taxonomy in [`Record`](crate::engine::Record).
 //!
 //! The `fault-inject` cargo feature additionally compiles in a
-//! [`FaultPlan`] hook used by the test suite to prove each recovery
+//! `FaultPlan` hook used by the test suite to prove each recovery
 //! path fires.
 
 use std::fmt;

@@ -26,18 +26,20 @@
 //!   structure-of-arrays junction buffers, bit-identical to the
 //!   per-junction scalar path its dense-reference mode keeps.
 //! * [`engine`] — the Monte Carlo event loop (Eq. 5), stimuli, recording
-//!   and sweeps.
+//!   and the per-point sweep measurement.
 //! * [`health`] — numerical health guards, drift audits with graceful
 //!   degradation, and the run supervisor (outcome taxonomy).
 //! * [`checkpoint`] — versioned binary snapshots for
 //!   checkpoint/resume of long runs.
-//! * [`par`] — deterministic parallel drivers (sweeps, 2-D maps, MC
-//!   ensembles) with counter-based seed splitting: bit-identical
-//!   results for any thread count, panics isolated per task.
-//! * [`batch`] — resilient batch execution on top of [`par`]: per-point
-//!   retry with graceful degradation (reseed, θ-tightening, solver
-//!   fallback), partial-result salvage ([`batch::BatchReport`]), and
-//!   journaled crash-safe resume.
+//! * [`par`] — the deterministic work queue with counter-based seed
+//!   splitting: bit-identical results for any thread count, panics
+//!   isolated per task; [`par::par_indexed`] for plain fan-outs.
+//! * [`batch`] — the sweep and ensemble drivers on top of [`par`]
+//!   ([`batch::batch_sweep`], [`batch::batch_ensemble`]; a 2-D map is
+//!   a sweep over the flattened grid): per-point retry with graceful
+//!   degradation (reseed, θ-tightening, solver fallback),
+//!   partial-result salvage ([`batch::BatchReport`]), and journaled
+//!   crash-safe resume.
 //! * [`journal`] — the append-only `SEMSIMJL` journal format behind
 //!   `--journal`/`--resume` (shares the checkpoint codec).
 //! * [`resource`] — the pre-admission memory/cost estimator behind

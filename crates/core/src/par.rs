@@ -1,5 +1,5 @@
-//! Deterministic parallel execution layer: sweeps, 2-D maps, and
-//! independent-replica Monte Carlo ensembles.
+//! Deterministic parallel execution layer: the work queue under every
+//! sweep, 2-D map, and independent-replica Monte Carlo ensemble.
 //!
 //! Everything SEMSIM evaluates is embarrassingly parallel — every I–V
 //! sweep point, every `(V_bias, V_gate)` map cell, every ensemble
@@ -8,8 +8,8 @@
 //! [`AtomicUsize`] chunk cursor; the workspace is offline, so no rayon)
 //! while keeping a hard determinism contract:
 //!
-//! **Results are bit-identical regardless of thread count**, including
-//! `threads = 1` matching the serial drivers in [`crate::engine`].
+//! **Results are bit-identical regardless of thread count**;
+//! `threads = 1` runs every task on the calling thread in index order.
 //!
 //! Two mechanisms carry the contract:
 //!
@@ -22,26 +22,26 @@
 //!    Thread scheduling can permute *execution* order arbitrarily; it
 //!    can never permute *merge* order.
 //!
-//! `tests/par_determinism.rs` at the workspace root pins the contract:
-//! byte-identical sweeps across 1/2/4/8 threads, ensemble statistics
-//! invariant under thread count and task permutation, and collision-free
-//! split streams.
+//! The sweep and ensemble drivers on this queue are
+//! [`crate::batch::batch_sweep`] and [`crate::batch::batch_ensemble`]
+//! (a 2-D map is a sweep over the flattened grid); [`par_indexed`]
+//! serves every other fan-out. `tests/par_determinism.rs` at the
+//! workspace root pins the contract: byte-identical sweeps across
+//! 1/2/4/8 threads, ensemble statistics invariant under thread count
+//! and task permutation, and collision-free split streams.
 //!
 //! Every task additionally runs under **panic isolation**: a panicking
 //! job is caught at the task boundary ([`std::panic::catch_unwind`])
 //! and surfaces as [`CoreError::TaskPanicked`] through the ordinary
 //! lowest-index-error-wins fold — sibling tasks run to completion, and
 //! the error a caller sees is the same at every thread count. The
-//! retry/salvage layer in [`crate::batch`] builds on this to turn
-//! isolated faults into recovered or individually-faulted points.
+//! batch drivers build their per-point retry and salvage on this.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use crate::circuit::{Circuit, JunctionId};
-use crate::engine::{run_sweep_point, Record, RunLength, SimConfig, Simulation, SweepPoint};
-use crate::health::{HealthReport, RunOutcome, Supervisor};
+use crate::health::RunOutcome;
 pub use crate::rng::split_seed;
 use crate::CoreError;
 
@@ -237,102 +237,6 @@ where
     }
 }
 
-/// Parallel I–V sweep: the exact computation of [`crate::engine::sweep`]
-/// fanned out over the work queue. Point `i` uses the PRNG stream
-/// seeded by [`split_seed`]`(config.seed, i)`; the returned vector is
-/// ordered by `controls` index and bit-identical for every
-/// `opts.threads`, including 1 (which matches the serial driver).
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`Simulation::new`]; when
-/// several points fail, the error of the lowest point index is
-/// returned (the one the serial sweep would hit first).
-#[allow(clippy::too_many_arguments)]
-pub fn par_sweep<F>(
-    circuit: &Circuit,
-    config: &SimConfig,
-    junction: JunctionId,
-    controls: &[f64],
-    warmup: u64,
-    events: u64,
-    opts: ParOpts,
-    setup: F,
-) -> Result<Vec<SweepPoint>, CoreError>
-where
-    F: Fn(&mut Simulation<'_>, f64) -> Result<(), CoreError> + Sync,
-{
-    run_tasks(controls.len(), opts, |i| {
-        let mut apply = &setup;
-        run_sweep_point(
-            circuit,
-            config,
-            junction,
-            i as u64,
-            controls[i],
-            warmup,
-            events,
-            &mut apply,
-        )
-    })
-}
-
-/// One cell of a 2-D control map (e.g. the paper's Fig. 5
-/// `(V_bias, V_gate)` current map).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MapPoint {
-    /// Inner (fast) axis value.
-    pub x: f64,
-    /// Outer (slow) axis value.
-    pub y: f64,
-    /// Measured time-averaged current (A).
-    pub current: f64,
-    /// Why the measurement stopped (see [`SweepPoint::outcome`]).
-    pub outcome: RunOutcome,
-    /// Tunnel events measured.
-    pub events: u64,
-}
-
-/// Parallel 2-D map over `ys × xs` (row-major: `y` outer, `x` inner;
-/// cell `(ix, iy)` is task `iy * xs.len() + ix` and element
-/// `out[iy * xs.len() + ix]`). `setup(sim, x, y)` applies both
-/// controls. Seeding and determinism follow [`par_sweep`].
-///
-/// # Errors
-///
-/// As [`par_sweep`].
-#[allow(clippy::too_many_arguments)]
-pub fn par_map2d<F>(
-    circuit: &Circuit,
-    config: &SimConfig,
-    junction: JunctionId,
-    xs: &[f64],
-    ys: &[f64],
-    warmup: u64,
-    events: u64,
-    opts: ParOpts,
-    setup: F,
-) -> Result<Vec<MapPoint>, CoreError>
-where
-    F: Fn(&mut Simulation<'_>, f64, f64) -> Result<(), CoreError> + Sync,
-{
-    let nx = xs.len();
-    run_tasks(nx * ys.len(), opts, |t| {
-        let (x, y) = (xs[t % nx], ys[t / nx]);
-        let mut apply = |sim: &mut Simulation<'_>, x: f64| setup(sim, x, y);
-        let p = run_sweep_point(
-            circuit, config, junction, t as u64, x, warmup, events, &mut apply,
-        )?;
-        Ok(MapPoint {
-            x,
-            y,
-            current: p.current,
-            outcome: p.outcome,
-            events: p.events,
-        })
-    })
-}
-
 /// Tally of replica [`RunOutcome`]s in an ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OutcomeCounts {
@@ -364,194 +268,12 @@ impl OutcomeCounts {
     }
 }
 
-/// Merged results of an independent-replica Monte Carlo ensemble.
-///
-/// Nothing a replica produced is dropped: the full per-replica
-/// [`Record`]s are kept (replica-indexed), per-replica
-/// [`HealthReport`]s are folded into one ensemble-level report, and
-/// every [`RunOutcome`] is tallied. All reductions fold in replica
-/// order, so the report is identical for every thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnsembleReport {
-    /// Per-replica run records, indexed by replica.
-    pub records: Vec<Record>,
-    /// Outcome tally across replicas.
-    pub outcomes: OutcomeCounts,
-    /// Per-replica health reports folded with [`HealthReport::absorb`]
-    /// in replica order.
-    pub health: HealthReport,
-    /// Mean time-averaged current (A) through the recorded junction,
-    /// averaged over replicas in replica order.
-    pub mean_current: f64,
-    /// Population standard deviation of the replica currents (A).
-    pub std_current: f64,
-    /// Total tunnel events executed across replicas.
-    pub total_events: u64,
-}
-
-impl EnsembleReport {
-    /// Replica count.
-    #[must_use]
-    pub fn replicas(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Standard error of the ensemble mean current: `σ/√n` over the
-    /// replica currents. This is the statistical error bar a
-    /// cross-engine comparison of [`EnsembleReport::mean_current`]
-    /// should tolerate; 0 when the ensemble is empty.
-    #[must_use]
-    pub fn sem_current(&self) -> f64 {
-        let n = self.replicas();
-        if n == 0 {
-            0.0
-        } else {
-            self.std_current / (n as f64).sqrt()
-        }
-    }
-}
-
-/// An independent-replica Monte Carlo ensemble of one circuit: `n`
-/// statistically independent copies of the same run, each seeded by
-/// [`split_seed`]`(config.seed, replica)`.
-///
-/// Replicas always run with
-/// [`Supervisor::blockade_is_outcome`] set: a frozen replica is data
-/// ([`RunOutcome::Blockaded`], tallied in the report), not an error
-/// that aborts the ensemble.
-///
-/// # Example
-///
-/// ```no_run
-/// use semsim_core::engine::{RunLength, SimConfig};
-/// use semsim_core::par::{Ensemble, ParOpts};
-/// # fn main() -> Result<(), semsim_core::CoreError> {
-/// # let mut b = semsim_core::circuit::CircuitBuilder::new();
-/// # let src = b.add_lead(10e-3);
-/// # let island = b.add_island();
-/// # let j = b.add_junction(src, island, 1e6, 1e-18)?;
-/// # b.add_junction(island, semsim_core::circuit::NodeId::GROUND, 1e6, 1e-18)?;
-/// # let circuit = b.build()?;
-/// let report = Ensemble::new(&circuit, SimConfig::new(5.0), j, 32, RunLength::Events(10_000))
-///     .with_warmup(500)
-///     .run(ParOpts::default())?;
-/// println!("I = {} ± {} A", report.mean_current, report.std_current);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct Ensemble<'c> {
-    circuit: &'c Circuit,
-    config: SimConfig,
-    junction: JunctionId,
-    replicas: usize,
-    length: RunLength,
-    warmup: u64,
-}
-
-impl<'c> Ensemble<'c> {
-    /// An ensemble of `replicas` independent runs of `length`, with
-    /// current statistics measured through `junction`.
-    pub fn new(
-        circuit: &'c Circuit,
-        config: SimConfig,
-        junction: JunctionId,
-        replicas: usize,
-        length: RunLength,
-    ) -> Self {
-        Ensemble {
-            circuit,
-            config,
-            junction,
-            replicas,
-            length,
-            warmup: 0,
-        }
-    }
-
-    /// Discards `events` warmup events per replica before measuring.
-    #[must_use]
-    pub fn with_warmup(mut self, events: u64) -> Self {
-        self.warmup = events;
-        self
-    }
-
-    /// Runs every replica (in parallel per `opts`) with no extra
-    /// per-replica setup.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ensemble::run_with`].
-    pub fn run(&self, opts: ParOpts) -> Result<EnsembleReport, CoreError> {
-        self.run_with(opts, |_, _| Ok(()))
-    }
-
-    /// Runs every replica, calling `setup(sim, replica)` on each fresh
-    /// simulation before its warmup (e.g. to set bias leads).
-    ///
-    /// # Errors
-    ///
-    /// Configuration and numerical-fault errors propagate; with several
-    /// failing replicas the lowest replica index wins (see
-    /// [`par_sweep`]). Blockade never errors here — it is an outcome.
-    pub fn run_with<F>(&self, opts: ParOpts, setup: F) -> Result<EnsembleReport, CoreError>
-    where
-        F: Fn(&mut Simulation<'_>, usize) -> Result<(), CoreError> + Sync,
-    {
-        let per_replica = run_tasks(self.replicas, opts, |r| {
-            let cfg = self
-                .config
-                .clone()
-                .with_seed(split_seed(self.config.seed, r as u64))
-                .with_supervisor(Supervisor {
-                    blockade_is_outcome: true,
-                    ..self.config.supervisor
-                });
-            let mut sim = Simulation::new(self.circuit, cfg)?;
-            setup(&mut sim, r)?;
-            if self.warmup > 0 {
-                sim.run(RunLength::Events(self.warmup))?;
-            }
-            let record = sim.run(self.length)?;
-            Ok((record, sim.health_report()))
-        })?;
-
-        // Replica-ordered reductions: identical for any thread count.
-        let mut outcomes = OutcomeCounts::default();
-        let mut health = HealthReport::empty();
-        let mut total_events = 0u64;
-        let mut records = Vec::with_capacity(per_replica.len());
-        let mut currents = Vec::with_capacity(per_replica.len());
-        for (record, h) in per_replica {
-            outcomes.note(&record.outcome);
-            health.absorb(&h);
-            total_events += record.events;
-            currents.push(record.current(self.junction));
-            records.push(record);
-        }
-        let n = currents.len().max(1) as f64;
-        let mean = currents.iter().sum::<f64>() / n;
-        let var = currents
-            .iter()
-            .map(|c| (c - mean) * (c - mean))
-            .sum::<f64>()
-            / n;
-        Ok(EnsembleReport {
-            records,
-            outcomes,
-            health,
-            mean_current: mean,
-            std_current: var.sqrt(),
-            total_events,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::CircuitBuilder;
-    use crate::engine::sweep;
+    use crate::batch::{batch_ensemble, batch_sweep, BatchOpts, TaskFault};
+    use crate::circuit::{Circuit, CircuitBuilder, JunctionId};
+    use crate::engine::{RunLength, SimConfig};
 
     fn conducting_set() -> (Circuit, JunctionId) {
         let mut b = CircuitBuilder::new();
@@ -565,75 +287,11 @@ mod tests {
         (b.build().unwrap(), j1)
     }
 
-    fn bits(points: &[SweepPoint]) -> Vec<(u64, u64, u64)> {
-        points
-            .iter()
-            .map(|p| (p.control.to_bits(), p.current.to_bits(), p.events))
-            .collect()
-    }
-
-    #[test]
-    fn par_sweep_matches_serial_sweep_bitwise() {
-        let (c, j1) = conducting_set();
-        let cfg = SimConfig::new(5.0).with_seed(17);
-        let controls = [-30e-3, -10e-3, 0.0, 10e-3, 30e-3];
-        let bias = |sim: &mut Simulation<'_>, v: f64| {
-            sim.set_lead_voltage(1, v / 2.0)?;
-            sim.set_lead_voltage(2, -v / 2.0)
-        };
-        let serial = sweep(&c, &cfg, j1, &controls, 50, 400, bias).unwrap();
-        for threads in [1, 2, 4] {
-            let par = par_sweep(
-                &c,
-                &cfg,
-                j1,
-                &controls,
-                50,
-                400,
-                ParOpts::with_threads(threads),
-                bias,
-            )
-            .unwrap();
-            assert_eq!(bits(&serial), bits(&par), "threads = {threads}");
-            assert_eq!(serial, par);
+    fn on_threads(threads: usize) -> BatchOpts {
+        BatchOpts {
+            par: ParOpts::with_threads(threads),
+            ..BatchOpts::default()
         }
-    }
-
-    #[test]
-    fn map2d_layout_is_row_major_and_thread_invariant() {
-        let (c, j1) = conducting_set();
-        let cfg = SimConfig::new(5.0).with_seed(3);
-        let xs = [10e-3, 20e-3, 30e-3];
-        let ys = [0.0, 5e-3];
-        let setup = |sim: &mut Simulation<'_>, x: f64, y: f64| {
-            sim.set_lead_voltage(1, x)?;
-            sim.set_lead_voltage(3, y)
-        };
-        let a = par_map2d(&c, &cfg, j1, &xs, &ys, 20, 200, ParOpts::serial(), setup).unwrap();
-        assert_eq!(a.len(), 6);
-        for (iy, &y) in ys.iter().enumerate() {
-            for (ix, &x) in xs.iter().enumerate() {
-                let p = &a[iy * xs.len() + ix];
-                assert_eq!((p.x, p.y), (x, y));
-            }
-        }
-        let b = par_map2d(
-            &c,
-            &cfg,
-            j1,
-            &xs,
-            &ys,
-            20,
-            200,
-            ParOpts {
-                threads: 3,
-                chunk: 1,
-                reverse: true,
-            },
-            setup,
-        )
-        .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -642,64 +300,86 @@ mod tests {
         // Half the replicas conduct, half are blockaded: even replicas
         // get full bias, odd replicas a sub-threshold one.
         let cfg = SimConfig::new(0.01).with_seed(5).with_audit_interval(100);
-        let ens = Ensemble::new(&c, cfg, j1, 6, RunLength::Events(300));
-        let report = ens
-            .run_with(ParOpts::default(), |sim, r| {
+        let report = batch_ensemble(
+            &c,
+            &cfg,
+            j1,
+            6,
+            0,
+            RunLength::Events(300),
+            &BatchOpts::default(),
+            |sim, r, _spec| {
                 let v = if r % 2 == 0 { 40e-3 } else { 1e-3 };
                 sim.set_lead_voltage(1, v / 2.0)?;
                 sim.set_lead_voltage(2, -v / 2.0)
-            })
-            .unwrap();
-        assert_eq!(report.replicas(), 6);
+            },
+        )
+        .unwrap();
+        assert_eq!(report.counts.ok, 6);
         assert_eq!(report.outcomes.completed, 3);
         assert_eq!(report.outcomes.blockaded, 3);
         assert_eq!(report.outcomes.total(), 6);
         // Conducting replicas audited (300 events / 100); blockaded
         // replicas ran their one free frozen-table audit each.
         assert!(report.health.audits >= 9, "audits {}", report.health.audits);
-        assert_eq!(report.total_events, 3 * 300);
-        assert!(report.mean_current > 0.0);
-        assert!(report.std_current > 0.0, "bimodal ensemble has spread");
+        let stats = report.ensemble_stats();
+        assert_eq!(stats.total_events, 3 * 300);
+        assert!(stats.mean_current > 0.0);
+        assert!(stats.std_current > 0.0, "bimodal ensemble has spread");
         // Blockaded replicas are data, not errors, and stay visible.
-        assert!(report.records[1].events == 0);
-        assert!(matches!(
-            report.records[1].outcome,
-            RunOutcome::Blockaded { .. }
-        ));
+        let blocked = report.points[1].item.unwrap();
+        assert_eq!(blocked.events, 0);
+        assert!(matches!(blocked.outcome, RunOutcome::Blockaded { .. }));
     }
 
     #[test]
     fn empty_and_single_task_edge_cases() {
         let (c, j1) = conducting_set();
         let cfg = SimConfig::new(5.0).with_seed(1);
-        let none = par_sweep(&c, &cfg, j1, &[], 10, 10, ParOpts::default(), |_sim, _v| {
-            Ok(())
-        })
+        let none = batch_sweep(
+            &c,
+            &cfg,
+            j1,
+            &[],
+            10,
+            10,
+            &BatchOpts::default(),
+            |_sim, _v, _spec| Ok(()),
+        )
         .unwrap();
-        assert!(none.is_empty());
-        let one = Ensemble::new(&c, cfg, j1, 1, RunLength::Events(50))
-            .run(ParOpts::with_threads(8))
-            .unwrap();
-        assert_eq!(one.replicas(), 1);
+        assert_eq!(none.values(), Some(Vec::new()));
+        let one = batch_ensemble(
+            &c,
+            &cfg,
+            j1,
+            1,
+            0,
+            RunLength::Events(50),
+            &on_threads(8),
+            |_sim, _r, _spec| Ok(()),
+        )
+        .unwrap();
+        assert_eq!(one.counts.total(), 1);
+        assert_eq!(one.ensemble_stats().measured, 1);
     }
 
     #[test]
     fn lowest_index_error_wins() {
         let (c, j1) = conducting_set();
         let cfg = SimConfig::new(5.0).with_seed(1);
-        // Leads 7 and 8 do not exist: tasks 1 and 3 fail. Every thread
-        // count must surface task 1's error (lead 7), like the serial
-        // loop would.
+        // Leads 7 and 8 do not exist: tasks 1 and 3 fault. Every thread
+        // count must report task 1's error (lead 7) as the first fault,
+        // like the serial loop would.
         for threads in [1, 4] {
-            let err = par_sweep(
+            let report = batch_sweep(
                 &c,
                 &cfg,
                 j1,
                 &[1.0, 7.0, 2.0, 8.0],
                 5,
                 5,
-                ParOpts::with_threads(threads),
-                |sim, v| {
+                &on_threads(threads),
+                |sim, v, _spec| {
                     if v > 5.0 {
                         sim.set_lead_voltage(v as usize, 0.0)
                     } else {
@@ -707,10 +387,12 @@ mod tests {
                     }
                 },
             )
-            .unwrap_err();
-            assert!(
-                matches!(err, CoreError::UnknownLead { lead: 7 }),
-                "threads {threads}: {err:?}"
+            .unwrap();
+            assert_eq!(report.counts.faulted, 2, "threads {threads}");
+            assert_eq!(
+                report.points.iter().find_map(|p| p.fault.as_ref()),
+                Some(&TaskFault::Error(CoreError::UnknownLead { lead: 7 })),
+                "threads {threads}"
             );
         }
     }

@@ -10,7 +10,7 @@ use semsim_core::circuit::{Circuit, CircuitBuilder, JunctionId, NodeId};
 use semsim_core::constants::ev_to_joule;
 use semsim_core::engine::{RunLength, SimConfig, Simulation, SolverSpec, Stimulus, SweepPoint};
 use semsim_core::health::RunOutcome;
-use semsim_core::par::{par_sweep, Ensemble, EnsembleReport, ParOpts};
+use semsim_core::par::ParOpts;
 use semsim_core::resource::ResourceEstimate;
 use semsim_core::superconduct::SuperconductingParams;
 use semsim_core::CoreError;
@@ -232,9 +232,8 @@ impl CircuitFile {
     /// The paper's `symm` directive is honoured: the named source is
     /// held at minus the swept voltage.
     ///
-    /// Serial entry point — identical to
-    /// [`CircuitFile::execute_par`]`(ParOpts::serial())`; the parallel
-    /// driver is bit-identical for any thread count.
+    /// Serial entry point, identical to
+    /// [`CircuitFile::execute_par`]`(ParOpts::serial())`.
     ///
     /// # Errors
     ///
@@ -244,72 +243,59 @@ impl CircuitFile {
         self.execute_par(ParOpts::serial())
     }
 
-    /// [`CircuitFile::execute`] with explicit parallel execution
-    /// options. Sweep points run on the work queue in `opts`; the
-    /// determinism contract of [`semsim_core::par`] guarantees the
-    /// returned points are bit-identical to the serial path.
+    /// [`CircuitFile::execute`] on the work queue in `opts`. A sweep
+    /// runs through [`semsim_core::batch::batch_sweep`] with the default
+    /// retry policy and no journal (the file's `journal` directive is
+    /// for [`CircuitFile::execute_batch`]); its points are bit-identical
+    /// for every thread count.
     ///
     /// # Errors
     ///
-    /// As [`CircuitFile::execute`].
+    /// As [`CircuitFile::execute`]; when sweep points fault, the
+    /// lowest-index point's fault.
     pub fn execute_par(&self, opts: ParOpts) -> Result<Vec<SweepPoint>, ParseError> {
+        if self.sweep.is_some() {
+            let report = self.run_sweep(&BatchOpts {
+                par: opts,
+                ..BatchOpts::default()
+            })?;
+            return match report.points.iter().find_map(|p| p.fault.as_ref()) {
+                Some(fault) => Err(ParseError::new(0, fault.to_string())),
+                None => Ok(report.items().flatten().copied().collect()),
+            };
+        }
         let compiled = self.compile()?;
         let cfg = self.sim_config()?;
         let wrap = |e: CoreError| ParseError::new(0, e.to_string());
-
         let record_junction = self.record_junction(&compiled)?;
         let events = self.jumps.map_or(100_000, |(e, _)| e);
-
-        match &self.sweep {
-            None => {
-                let mut sim = Simulation::new(&compiled.circuit, cfg).map_err(wrap)?;
-                self.schedule_dynamics(&compiled, &mut sim).map_err(wrap)?;
-                let run_result = match self.sim_time {
-                    Some(t) => sim.run(RunLength::Time(t)),
-                    None => sim.run(RunLength::Events(events)),
-                };
-                // A fully blockaded circuit reads zero current — the
-                // physically correct result, not a failure; the outcome
-                // keeps it distinguishable from a budget truncation.
-                let (current, outcome, measured) = match run_result {
-                    Ok(record) => (
-                        record.current(record_junction),
-                        record.outcome,
-                        record.events,
-                    ),
-                    Err(CoreError::BlockadeStall { time }) => {
-                        (0.0, RunOutcome::Blockaded { time }, 0)
-                    }
-                    Err(e) => return Err(wrap(e)),
-                };
-                let bias = self
-                    .sweep_source_voltage()
-                    .unwrap_or_else(|| self.sources.first().map_or(0.0, |&(_, v)| v));
-                Ok(vec![SweepPoint {
-                    control: bias,
-                    current,
-                    outcome,
-                    events: measured,
-                }])
-            }
-            Some(_) => {
-                let plan = self.sweep_plan(&compiled)?;
-                par_sweep(
-                    &compiled.circuit,
-                    &cfg,
-                    record_junction,
-                    &plan.controls,
-                    events / 10,
-                    events,
-                    opts,
-                    |sim, v| {
-                        plan.apply(sim, v)?;
-                        self.schedule_dynamics(&compiled, sim)
-                    },
-                )
-                .map_err(wrap)
-            }
-        }
+        let mut sim = Simulation::new(&compiled.circuit, cfg).map_err(wrap)?;
+        self.schedule_dynamics(&compiled, &mut sim).map_err(wrap)?;
+        let run_result = match self.sim_time {
+            Some(t) => sim.run(RunLength::Time(t)),
+            None => sim.run(RunLength::Events(events)),
+        };
+        // A fully blockaded circuit reads zero current — the physically
+        // correct result, not a failure; the outcome keeps it
+        // distinguishable from a budget truncation.
+        let (current, outcome, measured) = match run_result {
+            Ok(record) => (
+                record.current(record_junction),
+                record.outcome,
+                record.events,
+            ),
+            Err(CoreError::BlockadeStall { time }) => (0.0, RunOutcome::Blockaded { time }, 0),
+            Err(e) => return Err(wrap(e)),
+        };
+        let bias = self
+            .sweep_source_voltage()
+            .unwrap_or_else(|| self.sources.first().map_or(0.0, |&(_, v)| v));
+        Ok(vec![SweepPoint {
+            control: bias,
+            current,
+            outcome,
+            events: measured,
+        }])
     }
 
     /// Executes the declared `sweep` through the resilient batch layer
@@ -331,13 +317,19 @@ impl CircuitFile {
                 "batch sweep execution requires a `sweep` declaration".to_string(),
             ));
         }
+        self.run_sweep(&self.with_default_journal(opts))
+    }
+
+    /// Compiles the file and runs its declared `sweep` through
+    /// [`batch_sweep`] under exactly `opts`: one point per grid voltage,
+    /// `events / 10` warmup events, the file's dynamics scheduled on
+    /// every point.
+    fn run_sweep(&self, opts: &BatchOpts) -> Result<BatchReport<SweepPoint>, ParseError> {
         let compiled = self.compile()?;
         let cfg = self.sim_config()?;
-        let wrap = |e: CoreError| ParseError::new(0, e.to_string());
         let record_junction = self.record_junction(&compiled)?;
         let events = self.jumps.map_or(100_000, |(e, _)| e);
         let plan = self.sweep_plan(&compiled)?;
-        let opts = self.with_default_journal(opts);
         batch_sweep(
             &compiled.circuit,
             &cfg,
@@ -345,60 +337,32 @@ impl CircuitFile {
             &plan.controls,
             events / 10,
             events,
-            &opts,
+            opts,
             |sim, v, _spec| {
                 plan.apply(sim, v)?;
                 self.schedule_dynamics(&compiled, sim)
             },
         )
-        .map_err(wrap)
+        .map_err(|e| ParseError::new(0, e.to_string()))
     }
 
     /// Runs the file's `jumps <events> <runs>` declaration as an
-    /// independent-replica Monte Carlo ensemble: `runs` statistically
-    /// independent copies of the single-point simulation, fanned out
-    /// over `opts` and merged into one [`EnsembleReport`] (mean ± std
-    /// current, outcome tally, folded health report). The file must not
-    /// declare a `sweep` — an ensemble of sweeps is ambiguous.
+    /// independent-replica Monte Carlo ensemble through the resilient
+    /// batch layer ([`semsim_core::batch::batch_ensemble`]): `runs`
+    /// statistically independent copies of the single-point
+    /// simulation, with per-replica panic isolation and retry,
+    /// partial-result salvage, and crash-safe journaled resume when a
+    /// journal is configured via `opts` or the file's `journal`
+    /// directive. [`BatchReport::ensemble_stats`] gives mean ± std
+    /// current; the report carries the outcome tally and the folded
+    /// health report. The file must not declare a `sweep` — an
+    /// ensemble of sweeps is ambiguous.
     ///
     /// # Errors
     ///
     /// Compilation errors as [`ParseError`]; a declared `sweep`
-    /// conflicts with ensemble execution; simulation errors convert
-    /// with the core error message.
-    pub fn execute_ensemble(&self, opts: ParOpts) -> Result<EnsembleReport, ParseError> {
-        if self.sweep.is_some() {
-            return Err(ParseError::new(
-                self.spans.sweep,
-                "ensemble execution conflicts with a `sweep` declaration".to_string(),
-            ));
-        }
-        let compiled = self.compile()?;
-        let cfg = self.sim_config()?;
-        let wrap = |e: CoreError| ParseError::new(0, e.to_string());
-        let record_junction = self.record_junction(&compiled)?;
-        let (events, runs) = self.ensemble_shape()?;
-        let length = match self.sim_time {
-            Some(t) => RunLength::Time(t),
-            None => RunLength::Events(events),
-        };
-        Ensemble::new(&compiled.circuit, cfg, record_junction, runs, length)
-            .run_with(opts, |sim, _replica| self.schedule_dynamics(&compiled, sim))
-            .map_err(wrap)
-    }
-
-    /// [`CircuitFile::execute_ensemble`] through the resilient batch
-    /// layer ([`semsim_core::batch::batch_ensemble`]): per-replica
-    /// panic isolation and retry, partial-result salvage, and
-    /// crash-safe journaled resume when a journal is configured via
-    /// `opts` or the file's `journal` directive. Fault-free runs yield
-    /// the same statistics as [`CircuitFile::execute_ensemble`]
-    /// (compare [`BatchReport::ensemble_stats`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`CircuitFile::execute_ensemble`], plus journal I/O or
-    /// mismatch errors converted with the core error message.
+    /// conflicts with ensemble execution; journal I/O or mismatch
+    /// errors convert with the core error message.
     pub fn execute_ensemble_batch(
         &self,
         opts: &BatchOpts,
@@ -767,13 +731,18 @@ jumps 3000 1
     fn ensemble_execution_merges_replicas() {
         let text = SET_FILE.replace("jumps 3000 1", "jumps 1000 6");
         let f = CircuitFile::parse(&text).unwrap();
-        let a = f.execute_ensemble(ParOpts::serial()).unwrap();
-        assert_eq!(a.replicas(), 6);
+        let on_threads = |threads| BatchOpts {
+            par: ParOpts::with_threads(threads),
+            ..BatchOpts::default()
+        };
+        let a = f.execute_ensemble_batch(&on_threads(1)).unwrap();
+        assert_eq!(a.counts.ok, 6);
         assert_eq!(a.outcomes.completed, 6);
-        assert!(a.mean_current.abs() > 1e-11);
-        assert!(a.std_current > 0.0, "independent replicas disagree");
+        let stats = a.ensemble_stats();
+        assert!(stats.mean_current.abs() > 1e-11);
+        assert!(stats.std_current > 0.0, "independent replicas disagree");
         // Thread-count invariance extends through the interpreter.
-        let b = f.execute_ensemble(ParOpts::with_threads(4)).unwrap();
+        let b = f.execute_ensemble_batch(&on_threads(4)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -791,19 +760,6 @@ jumps 3000 1
             assert!(report.is_complete());
             assert_eq!(report.values().unwrap(), reference, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn execute_ensemble_batch_matches_execute_ensemble() {
-        let text = SET_FILE.replace("jumps 3000 1", "jumps 1000 6");
-        let f = CircuitFile::parse(&text).unwrap();
-        let reference = f.execute_ensemble(ParOpts::serial()).unwrap();
-        let report = f.execute_ensemble_batch(&BatchOpts::default()).unwrap();
-        assert!(report.is_complete());
-        let stats = report.ensemble_stats();
-        assert_eq!(stats.mean_current, reference.mean_current);
-        assert_eq!(stats.std_current, reference.std_current);
-        assert_eq!(report.counts.ok, 6);
     }
 
     #[test]
@@ -843,7 +799,11 @@ jumps 3000 1
     fn ensemble_rejects_sweep_files() {
         let text = format!("{SET_FILE}sweep 2 0.02 0.01\n");
         let f = CircuitFile::parse(&text).unwrap();
-        assert!(f.execute_ensemble(ParOpts::serial()).is_err());
+        let err = f.execute_ensemble_batch(&BatchOpts::default()).unwrap_err();
+        assert!(
+            err.to_string().contains("conflicts with a `sweep`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -890,8 +850,6 @@ jumps 3000 1
         // Regression: `jumps 1000 0` was silently rewritten to one run.
         let mut f = CircuitFile::parse(SET_FILE).unwrap();
         f.jumps = Some((1000, 0));
-        let err = f.execute_ensemble(ParOpts::serial()).unwrap_err();
-        assert!(err.to_string().contains("nonzero"), "{err}");
         let err = f.execute_ensemble_batch(&BatchOpts::default()).unwrap_err();
         assert!(err.to_string().contains("nonzero"), "{err}");
     }

@@ -10,7 +10,8 @@
 //! `"schema": "semsim-validate"`, `"version": 1`) and re-verified by
 //! `semsim json-verify`, which recomputes every point's tolerance and
 //! verdict from its recorded inputs — the JSON cannot drift from the
-//! arithmetic in [`crate::tolerance`] without failing verification.
+//! arithmetic in [`crate::tolerance`](mod@crate::tolerance) without
+//! failing verification.
 
 use std::fmt::Write as _;
 

@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use semsim::core::batch::{batch_sweep, BatchOpts};
 use semsim::core::circuit::CircuitBuilder;
-use semsim::core::engine::{linspace, sweep, SimConfig};
+use semsim::core::engine::{linspace, SimConfig};
 use semsim::core::CoreError;
 
 fn main() -> Result<(), CoreError> {
@@ -36,11 +37,22 @@ fn main() -> Result<(), CoreError> {
 
     let mut columns = Vec::new();
     for vg in [0.0, 0.01, 0.02, 0.03] {
-        let points = sweep(&circuit, &config, j1, &biases, 500, 20_000, |sim, vds| {
-            sim.set_lead_voltage(1, vds / 2.0)?;
-            sim.set_lead_voltage(2, -vds / 2.0)?;
-            sim.set_lead_voltage(3, vg)
-        })?;
+        let points = batch_sweep(
+            &circuit,
+            &config,
+            j1,
+            &biases,
+            500,
+            20_000,
+            &BatchOpts::default(),
+            |sim, vds, _spec| {
+                sim.set_lead_voltage(1, vds / 2.0)?;
+                sim.set_lead_voltage(2, -vds / 2.0)?;
+                sim.set_lead_voltage(3, vg)
+            },
+        )?
+        .values()
+        .expect("every sweep point measured");
         columns.push(points);
     }
 

@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -76,6 +79,19 @@ if [ "$cores" -ge 2 ]; then
 else
   echo "skip: hotpath speedup floors need >= 2 cores (host has $cores)"
 fi
+
+echo "==> figure bins: byte-identical committed results/"
+# Every figure below is a pure function of its default arguments (the
+# thread count included), so rerunning it must reproduce the committed
+# file byte for byte. fig1c (minutes) stays out for its runtime.
+figdir=$(mktemp -d)
+for fig in fig1b fig5 cotunnel_check jqp_cycles adaptive_locality ablation; do
+  ./target/release/$fig > "$figdir/$fig.txt"
+  cmp "$figdir/$fig.txt" "results/$fig.txt" \
+    || { echo "FAIL: $fig output differs from results/$fig.txt"; exit 1; }
+done
+rm -rf "$figdir"
+echo "figures OK: fig1b fig5 cotunnel_check jqp_cycles adaptive_locality ablation"
 
 echo "==> semsim validate: byte-identical results/VALIDATE.json"
 # The grid is deterministic, so rerunning it under the commit label the

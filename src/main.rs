@@ -860,14 +860,7 @@ fn try_run(opts: &RunOpts) -> Result<(), String> {
 /// Runs the file's `jumps` declaration as an independent-replica
 /// ensemble over the parallel drivers and prints the merged report.
 fn run_ensemble(opts: &RunOpts, file: &CircuitFile) -> Result<(), String> {
-    // Compile once up front so static-check warnings surface exactly as
-    // in the single-run path (`execute_ensemble` recompiles internally).
-    let compiled = file
-        .compile()
-        .map_err(|e| format!("{}: {e}", opts.netlist))?;
-    for w in compiled.warnings.iter() {
-        eprintln!("warning[{}]: {}", w.code.code(), w.message);
-    }
+    print_lint_warnings(file);
     let mut file = file.clone();
     if let Some(e) = opts.events {
         let runs = file.jumps.map(|(_, r)| r).unwrap_or(1);
@@ -927,6 +920,19 @@ fn run_ensemble(opts: &RunOpts, file: &CircuitFile) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints the static-check warnings the batch entry points attach when
+/// they compile `file`, without building the circuit here: the execute
+/// call does the one build. A file with lint errors prints nothing; its
+/// error comes from that build.
+fn print_lint_warnings(file: &CircuitFile) {
+    let diags = lint_circuit(file);
+    if !diags.has_errors() {
+        for w in diags.iter() {
+            eprintln!("warning[{}]: {}", w.code.code(), w.message);
+        }
+    }
+}
+
 /// Executes `semsim sweep`; returns `true` on success.
 fn sweep_file(opts: &RunOpts) -> bool {
     match try_sweep(opts) {
@@ -950,12 +956,7 @@ fn try_sweep(opts: &RunOpts) -> Result<(), String> {
         ));
     }
     check_memory_budget(&file, &opts.netlist, opts.max_memory)?;
-    let compiled = file
-        .compile()
-        .map_err(|e| format!("{}: {e}", opts.netlist))?;
-    for w in compiled.warnings.iter() {
-        eprintln!("warning[{}]: {}", w.code.code(), w.message);
-    }
+    print_lint_warnings(&file);
     if let Some(e) = opts.events {
         let runs = file.jumps.map(|(_, r)| r).unwrap_or(1);
         file.jumps = Some((e, runs));

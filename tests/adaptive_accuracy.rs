@@ -3,10 +3,13 @@
 //! logic circuits, the adaptive solver must do far less rate work than
 //! the conventional solver while reproducing its observables.
 
+use semsim::core::batch::{batch_sweep, BatchOpts};
 use semsim::core::circuit::{CircuitBuilder, NodeId};
 use semsim::core::constants::ev_to_joule;
-use semsim::core::engine::{linspace, sweep, Record, RunLength, SimConfig, Simulation, SolverSpec};
-use semsim::core::par::{par_sweep, ParOpts};
+use semsim::core::engine::{
+    linspace, Record, RunLength, SimConfig, Simulation, SolverSpec, SweepPoint,
+};
+use semsim::core::par::ParOpts;
 use semsim::core::superconduct::SuperconductingParams;
 use semsim::logic::{elaborate, measure_delay, synthesize, SetLogicParams};
 
@@ -286,9 +289,28 @@ fn optimized_sweep_is_bit_identical_across_modes_and_threads() {
     let src_idx = c.lead_index(src).unwrap();
     let drn_idx = c.lead_index(drn).unwrap();
     let controls = linspace(10e-3, 40e-3, 6);
-    let setup = |sim: &mut Simulation<'_>, v: f64| {
-        sim.set_lead_voltage(src_idx, 0.5 * v)?;
-        sim.set_lead_voltage(drn_idx, -0.5 * v)
+    let sweep = |spec: SolverSpec, threads: usize| -> Vec<SweepPoint> {
+        let cfg = SimConfig::new(0.1).with_seed(21).with_solver(spec);
+        let opts = BatchOpts {
+            par: ParOpts::with_threads(threads),
+            ..BatchOpts::default()
+        };
+        batch_sweep(
+            &c,
+            &cfg,
+            j1,
+            &controls,
+            300,
+            1_200,
+            &opts,
+            |sim, v, _spec| {
+                sim.set_lead_voltage(src_idx, 0.5 * v)?;
+                sim.set_lead_voltage(drn_idx, -0.5 * v)
+            },
+        )
+        .unwrap()
+        .values()
+        .unwrap()
     };
 
     let optimized = SolverSpec::Adaptive {
@@ -299,31 +321,20 @@ fn optimized_sweep_is_bit_identical_across_modes_and_threads() {
         threshold: 0.05,
         refresh_interval: 500,
     };
-    let cfg = |spec| SimConfig::new(0.1).with_seed(21).with_solver(spec);
 
-    let bits = |pts: &[semsim::core::engine::SweepPoint]| -> Vec<(u64, u64, u64)> {
+    let bits = |pts: &[SweepPoint]| -> Vec<(u64, u64, u64)> {
         pts.iter()
             .map(|p| (p.control.to_bits(), p.current.to_bits(), p.events))
             .collect()
     };
 
-    let serial_opt = sweep(&c, &cfg(optimized), j1, &controls, 300, 1_200, setup).unwrap();
-    let serial_dense = sweep(&c, &cfg(dense), j1, &controls, 300, 1_200, setup).unwrap();
+    let serial_opt = sweep(optimized, 1);
+    let serial_dense = sweep(dense, 1);
     assert_eq!(bits(&serial_opt), bits(&serial_dense));
     assert_eq!(serial_opt, serial_dense);
 
     for threads in [2usize, 4, 8] {
-        let par = par_sweep(
-            &c,
-            &cfg(optimized),
-            j1,
-            &controls,
-            300,
-            1_200,
-            ParOpts::with_threads(threads),
-            setup,
-        )
-        .unwrap();
+        let par = sweep(optimized, threads);
         assert_eq!(bits(&serial_opt), bits(&par), "threads = {threads}");
         assert_eq!(serial_opt, par, "threads = {threads}");
     }

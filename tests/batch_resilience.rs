@@ -1,5 +1,5 @@
 //! Integration tests of the resilient batch layer: fault-free batches
-//! must be bit-identical to the plain parallel drivers, and the
+//! must be bit-identical to a hand-written per-point loop, and the
 //! `SEMSIMJL` journal must survive truncation at every byte boundary,
 //! single-bit rot, and version skew — a resumed batch reproduces the
 //! uninterrupted one bit-for-bit or refuses loudly, never silently
@@ -10,9 +10,9 @@ use std::path::PathBuf;
 use semsim::core::batch::{batch_sweep, BatchOpts, BatchReport, RetryPolicy};
 use semsim::core::checkpoint::fnv1a64;
 use semsim::core::circuit::{Circuit, CircuitBuilder, JunctionId};
-use semsim::core::engine::{SimConfig, Simulation, SweepPoint};
+use semsim::core::engine::{RunLength, SimConfig, Simulation, SweepPoint};
 use semsim::core::journal::{scan, HEADER_LEN};
-use semsim::core::par::{par_sweep, ParOpts};
+use semsim::core::par::{split_seed, ParOpts};
 use semsim::core::CoreError;
 
 /// A conducting SET (source—island—drain plus gate): every sweep point
@@ -63,19 +63,27 @@ fn temp_journal(name: &str) -> PathBuf {
 
 #[test]
 fn batch_sweep_is_bit_identical_to_par_sweep() {
+    // The reference is the sweep written out by hand: point `i` is a
+    // fresh simulation seeded `split_seed(33, i)`, biased, warmed up for
+    // 150 events and measured over 1200.
     let (circuit, j) = set_circuit();
-    let cfg = SimConfig::new(5.0).with_seed(33);
-    let reference = par_sweep(
-        &circuit,
-        &cfg,
-        j,
-        &controls(),
-        150,
-        1200,
-        ParOpts::serial(),
-        apply_bias,
-    )
-    .unwrap();
+    let reference: Vec<SweepPoint> = controls()
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let cfg = SimConfig::new(5.0).with_seed(split_seed(33, i as u64));
+            let mut sim = Simulation::new(&circuit, cfg).unwrap();
+            apply_bias(&mut sim, v).unwrap();
+            sim.run(RunLength::Events(150)).unwrap();
+            let record = sim.run(RunLength::Events(1200)).unwrap();
+            SweepPoint {
+                control: v,
+                current: record.current(j),
+                outcome: record.outcome,
+                events: record.events,
+            }
+        })
+        .collect();
     for threads in [1, 2, 4] {
         let opts = BatchOpts {
             par: ParOpts::with_threads(threads),

@@ -9,20 +9,21 @@
 //!   34 mV), lifted by the gate.
 //! * Fig. 1c: the superconducting gap *widens* the suppressed region —
 //!   32 mV conducts normally (`≈ 8e-10 A` committed) but is dead in the
-//!   SSET (`≈ 7e-20 A` committed).
+//!   SSET (`≈ 6e-20 A` committed).
 //! * Fig. 5: the Manninen SSET's quasi-particle transport threshold —
 //!   sub-gap current at 0.4 mV is ≈ 270× below the current past the
-//!   threshold at 1.6 mV (committed: 6.5e-12 A vs 1.79e-9 A).
+//!   threshold at 1.6 mV (committed: 6.6e-12 A vs 1.78e-9 A).
 //! * Fig. 7: the adaptive solver's propagation delay on the 2-to-10
 //!   decoder tracks the exact non-adaptive solver (committed:
 //!   1.0128e-7 s reference, 3.59% semsim error over 5 seeds).
 //!
-//! The sweeps run on the deterministic parallel driver, so these are
-//! also end-to-end regressions for [`semsim::core::par`].
+//! The sweeps run on [`semsim::core::batch::batch_sweep`] over the
+//! deterministic work queue, so these are also end-to-end regressions
+//! for the batch sweep driver.
 
+use semsim::core::batch::{batch_sweep, BatchOpts};
 use semsim::core::constants::{thermal_energy, E_CHARGE};
 use semsim::core::engine::{SimConfig, SolverSpec};
-use semsim::core::par::{par_sweep, ParOpts};
 use semsim::core::superconduct::{gap_at, QpRateTable};
 use semsim::logic::{elaborate, measure_delay_avg, Benchmark, SetLogicParams};
 use semsim_bench::devices::{fig1_set, fig1c_params, fig5_params, fig5_set, SetDevice};
@@ -32,21 +33,23 @@ const WARMUP: u64 = 150;
 
 /// Currents through `j1` at the given symmetric drain-source biases.
 fn currents(dev: &SetDevice, config: &SimConfig, biases: &[f64], vg: f64) -> Vec<f64> {
-    par_sweep(
+    batch_sweep(
         &dev.circuit,
         config,
         dev.j1,
         biases,
         WARMUP,
         EVENTS,
-        ParOpts::default(),
-        |sim, vds| {
+        &BatchOpts::default(),
+        |sim, vds, _spec| {
             sim.set_lead_voltage(dev.source_lead, vds / 2.0)?;
             sim.set_lead_voltage(dev.drain_lead, -vds / 2.0)?;
             sim.set_lead_voltage(dev.gate_lead, vg)
         },
     )
     .expect("sweep")
+    .values()
+    .expect("every point measured")
     .iter()
     .map(|p| p.current)
     .collect()
@@ -151,20 +154,22 @@ fn fig5_qp_threshold_separates_subgap_from_open_transport() {
         .with_superconducting(params)
         .with_qp_table(QpRateTable::build(gap, kt, w_max).expect("qp table"));
 
-    let i = par_sweep(
+    let i = batch_sweep(
         &dev.circuit,
         &config,
         dev.j1,
         &[0.4e-3, 1.6e-3],
         WARMUP,
         EVENTS,
-        ParOpts::default(),
-        |sim, vb| {
+        &BatchOpts::default(),
+        |sim, vb, _spec| {
             sim.set_lead_voltage(dev.source_lead, vb)?;
             sim.set_lead_voltage(dev.gate_lead, 0.0)
         },
     )
-    .expect("sweep");
+    .expect("sweep")
+    .values()
+    .expect("every point measured");
     let (i_sub, i_open) = (i[0].current.abs(), i[1].current.abs());
 
     assert!(

@@ -101,3 +101,38 @@ fn logic_netlist_through_full_stack() {
     assert!(outs["y"] < 0.3 * params.vdd, "y = {}", outs["y"]);
     assert!(outs["z"] > 0.6 * params.vdd, "z = {}", outs["z"]);
 }
+
+/// Runs the `semsim` binary on a netlist holding `text`; returns its
+/// exit status and stderr.
+fn semsim_on(command: &str, name: &str, text: &str) -> (std::process::ExitStatus, String) {
+    let path = std::env::temp_dir().join(format!("semsim_e2e_{name}_{}.cir", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_semsim"))
+        .args([command, &path.display().to_string(), "--events", "300"])
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    (out.status, String::from_utf8(out.stderr).unwrap())
+}
+
+#[test]
+fn cli_batches_print_each_lint_warning_once() {
+    const SET: &str = "\
+junc 1 1 4 1e-6 1e-18
+junc 2 2 4 1e-6 1e-18
+cap 3 4 3e-18
+vdc 1 0.02
+vdc 2 -0.02
+vdc 3 0.0
+temp 5
+";
+    // A 3-replica ensemble warns SC011 (it fits in one worker's chunk).
+    let (status, stderr) = semsim_on("run", "ensemble", &format!("{SET}jumps 1000 3\n"));
+    assert!(status.success(), "{stderr}");
+    assert_eq!(stderr.matches("warning[SC011]").count(), 1, "{stderr}");
+    // A sweep whose step does not divide its range warns SC013.
+    let (status, stderr) = semsim_on("sweep", "sweep", &format!("{SET}sweep 2 0.02 0.003\n"));
+    assert!(status.success(), "{stderr}");
+    assert_eq!(stderr.matches("warning[SC013]").count(), 1, "{stderr}");
+    assert_eq!(stderr.matches("warning[").count(), 1, "{stderr}");
+}

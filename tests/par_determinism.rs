@@ -1,8 +1,10 @@
 //! Reproducibility harness for the deterministic parallel execution
-//! layer ([`semsim::core::par`]). Pins the module's central contract:
-//! **results are bit-identical regardless of thread count**, chunk
-//! size, or task hand-out order, and the per-task PRNG streams derived
-//! by counter-based seed splitting do not collide.
+//! layer ([`semsim::core::par`]) under the sweep and ensemble drivers
+//! ([`semsim::core::batch`]). Pins the central contract: **results are
+//! bit-identical regardless of thread count**, chunk size, or task
+//! hand-out order — `threads = 1`, every task run in index order on
+//! the calling thread, is the reference — and the per-task PRNG
+//! streams derived by counter-based seed splitting do not collide.
 //!
 //! The thread counts under test come from the `SEMSIM_TEST_THREADS`
 //! environment variable (comma-separated, default `1,2,4,8`) so
@@ -10,9 +12,10 @@
 
 use std::collections::HashSet;
 
+use semsim::core::batch::{batch_ensemble, batch_sweep, BatchOpts, BatchReport, ReplicaSummary};
 use semsim::core::circuit::{Circuit, CircuitBuilder, JunctionId};
-use semsim::core::engine::{linspace, sweep, RunLength, SimConfig, Simulation, SweepPoint};
-use semsim::core::par::{par_sweep, split_seed, Ensemble, EnsembleReport, ParOpts};
+use semsim::core::engine::{linspace, RunLength, SimConfig, Simulation, SweepPoint};
+use semsim::core::par::{split_seed, ParOpts};
 use semsim::core::rng::Rng;
 
 /// Thread counts to exercise: `SEMSIM_TEST_THREADS` or `1,2,4,8`.
@@ -49,6 +52,35 @@ fn symmetric_bias(sim: &mut Simulation<'_>, v: f64) -> Result<(), semsim::core::
     sim.set_lead_voltage(2, -v / 2.0)
 }
 
+/// A batch sweep of the SET under symmetric bias, on the work queue in
+/// `par`.
+fn swept(
+    config: &SimConfig,
+    controls: &[f64],
+    warmup: u64,
+    events: u64,
+    par: ParOpts,
+) -> Vec<SweepPoint> {
+    let (circuit, j1) = set_device();
+    let opts = BatchOpts {
+        par,
+        ..BatchOpts::default()
+    };
+    batch_sweep(
+        &circuit,
+        config,
+        j1,
+        controls,
+        warmup,
+        events,
+        &opts,
+        |sim, v, _spec| symmetric_bias(sim, v),
+    )
+    .expect("batch sweep")
+    .values()
+    .expect("every point measured")
+}
+
 /// Every bit that could differ between runs, extracted per point.
 fn sweep_bits(points: &[SweepPoint]) -> Vec<(u64, u64, u64)> {
     points
@@ -57,56 +89,42 @@ fn sweep_bits(points: &[SweepPoint]) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-fn ensemble_bits(report: &EnsembleReport) -> (u64, u64, u64, String) {
+fn ensemble_bits(report: &BatchReport<ReplicaSummary>) -> (u64, u64, u64, String) {
+    let stats = report.ensemble_stats();
     (
-        report.mean_current.to_bits(),
-        report.std_current.to_bits(),
-        report.total_events,
+        stats.mean_current.to_bits(),
+        stats.std_current.to_bits(),
+        stats.total_events,
         format!("{:?}", report.outcomes),
     )
 }
 
 #[test]
 fn par_sweep_is_byte_identical_across_thread_counts() {
-    let (circuit, j1) = set_device();
     let config = SimConfig::new(5.0).with_seed(99);
     let controls = linspace(-0.04, 0.04, 11);
 
-    let serial =
-        sweep(&circuit, &config, j1, &controls, 100, 800, symmetric_bias).expect("serial sweep");
+    let serial = swept(&config, &controls, 100, 800, ParOpts::serial());
     let reference = sweep_bits(&serial);
     // The workload must actually exercise the stochastic engine.
     assert!(serial.iter().any(|p| p.current != 0.0));
 
     for threads in thread_counts() {
-        let par = par_sweep(
-            &circuit,
-            &config,
-            j1,
-            &controls,
-            100,
-            800,
-            ParOpts::with_threads(threads),
-            symmetric_bias,
-        )
-        .expect("parallel sweep");
+        let par = swept(&config, &controls, 100, 800, ParOpts::with_threads(threads));
         assert_eq!(
             sweep_bits(&par),
             reference,
-            "par_sweep({threads} threads) diverged from the serial driver"
+            "batch_sweep({threads} threads) diverged from threads = 1"
         );
     }
 }
 
 #[test]
 fn par_sweep_is_invariant_under_chunking_and_handout_order() {
-    let (circuit, j1) = set_device();
     let config = SimConfig::new(5.0).with_seed(5);
     let controls = linspace(-0.03, 0.03, 9);
 
-    let reference = sweep_bits(
-        &sweep(&circuit, &config, j1, &controls, 50, 500, symmetric_bias).expect("serial"),
-    );
+    let reference = sweep_bits(&swept(&config, &controls, 50, 500, ParOpts::serial()));
     for threads in thread_counts() {
         for chunk in [1, 3] {
             for reverse in [false, true] {
@@ -115,17 +133,7 @@ fn par_sweep_is_invariant_under_chunking_and_handout_order() {
                     chunk,
                     reverse,
                 };
-                let par = par_sweep(
-                    &circuit,
-                    &config,
-                    j1,
-                    &controls,
-                    50,
-                    500,
-                    opts,
-                    symmetric_bias,
-                )
-                .expect("parallel sweep");
+                let par = swept(&config, &controls, 50, 500, opts);
                 assert_eq!(
                     sweep_bits(&par),
                     reference,
@@ -140,13 +148,27 @@ fn par_sweep_is_invariant_under_chunking_and_handout_order() {
 fn ensemble_statistics_are_invariant_under_thread_count_and_permutation() {
     let (circuit, j1) = set_device();
     let config = SimConfig::new(5.0).with_seed(123);
-    let make = || Ensemble::new(&circuit, config.clone(), j1, 12, RunLength::Events(400));
+    let run = |par: ParOpts| {
+        let opts = BatchOpts {
+            par,
+            ..BatchOpts::default()
+        };
+        batch_ensemble(
+            &circuit,
+            &config,
+            j1,
+            12,
+            0,
+            RunLength::Events(400),
+            &opts,
+            |sim, _replica, _spec| symmetric_bias(sim, 30e-3),
+        )
+        .expect("ensemble")
+    };
     let reference = {
-        let report = make()
-            .run_with(ParOpts::serial(), symmetric_setup)
-            .expect("serial ensemble");
-        assert_eq!(report.replicas(), 12);
-        assert!(report.std_current.is_finite());
+        let report = run(ParOpts::serial());
+        assert_eq!(report.counts.ok, 12);
+        assert!(report.ensemble_stats().std_current.is_finite());
         ensemble_bits(&report)
     };
 
@@ -157,7 +179,7 @@ fn ensemble_statistics_are_invariant_under_thread_count_and_permutation() {
                 chunk: 2,
                 reverse,
             };
-            let report = make().run_with(opts, symmetric_setup).expect("ensemble");
+            let report = run(opts);
             assert_eq!(
                 ensemble_bits(&report),
                 reference,
@@ -165,13 +187,6 @@ fn ensemble_statistics_are_invariant_under_thread_count_and_permutation() {
             );
         }
     }
-}
-
-fn symmetric_setup(
-    sim: &mut Simulation<'_>,
-    _replica: usize,
-) -> Result<(), semsim::core::CoreError> {
-    symmetric_bias(sim, 30e-3)
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! Carlo engine, the analytical SPICE model and textbook orthodox
 //! theory must all agree on the paper's Fig. 1b transistor.
 
+use semsim::core::batch::{batch_sweep, BatchOpts};
 use semsim::core::circuit::{Circuit, CircuitBuilder, JunctionId};
 use semsim::core::constants::E_CHARGE;
-use semsim::core::engine::{linspace, sweep, RunLength, SimConfig, Simulation};
+use semsim::core::engine::{linspace, RunLength, SimConfig, Simulation};
 use semsim::spice::SetModel;
 
 fn paper_set() -> (Circuit, JunctionId) {
@@ -93,10 +94,21 @@ fn sweep_is_antisymmetric_under_symmetric_bias() {
     let (c, j1) = paper_set();
     let cfg = SimConfig::new(5.0).with_seed(9);
     let biases = linspace(-30e-3, 30e-3, 7);
-    let pts = sweep(&c, &cfg, j1, &biases, 2_000, 30_000, |sim, v| {
-        sim.set_lead_voltage(1, v / 2.0)?;
-        sim.set_lead_voltage(2, -v / 2.0)
-    })
+    let pts = batch_sweep(
+        &c,
+        &cfg,
+        j1,
+        &biases,
+        2_000,
+        30_000,
+        &BatchOpts::default(),
+        |sim, v, _spec| {
+            sim.set_lead_voltage(1, v / 2.0)?;
+            sim.set_lead_voltage(2, -v / 2.0)
+        },
+    )
+    .unwrap()
+    .values()
     .unwrap();
     for k in 0..3 {
         let a = pts[k].current;
