@@ -2,11 +2,15 @@
 //!
 //! Single-electron circuit simulation needs exactly one nontrivial linear
 //! algebra operation: building the island-block capacitance matrix `C` and
-//! inverting it (the paper's `C⁻¹` in Eq. 2). Circuits in the paper's
-//! evaluation reach ~3500 islands, so a dense LU with partial pivoting is
-//! both sufficient and simple to verify. On top of the inverse we provide a
-//! [`SparsifiedMatrix`] view that drops negligible entries per row — the
-//! adaptive solver uses it to bound the cost of locality queries.
+//! inverting it (the paper's `C⁻¹` in Eq. 2). `C` is stored dense, and a
+//! dense LU with partial pivoting factors it. Each island couples to only
+//! a few neighbours, so the factor has a narrow profile, and
+//! [`LuDecomposition::inverse`] sums over the factor's nonzeros only: an
+//! `O(n² + n·nnz(LU))` inverse that is bitwise the same as `n` dense
+//! solves. The inverse itself is dense and stored dense. On top of it we
+//! provide a [`SparsifiedMatrix`] view that drops negligible entries per
+//! row — the adaptive solver uses it to bound the cost of locality
+//! queries.
 //!
 //! # Example
 //!

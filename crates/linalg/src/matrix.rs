@@ -180,6 +180,12 @@ impl Matrix {
 
     /// Matrix–matrix product `self · other`.
     ///
+    /// Each output entry sums `self[i][k] · other[k][j]` in ascending
+    /// `k`, starting from `+0`, and skips the terms whose left entry is
+    /// zero. For a finite left entry it also skips the terms whose right
+    /// entry is zero: each would add an exact `±0` to a sum that can
+    /// never be `−0`, so the result is bitwise the full sum's.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if the inner dimensions differ.
@@ -190,15 +196,32 @@ impl Matrix {
                 right: (other.rows, other.cols),
             });
         }
+        // Row k's nonzero columns of `other` are
+        // `nonzero[nonzero_start[k]..nonzero_start[k + 1]]`.
+        let mut nonzero_start = Vec::with_capacity(other.rows + 1);
+        let mut nonzero = Vec::new();
+        for k in 0..other.rows {
+            nonzero_start.push(nonzero.len());
+            nonzero.extend((0..other.cols).filter(|&j| other.get(k, j) != 0.0));
+        }
+        nonzero_start.push(nonzero.len());
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
+            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
             for k in 0..self.cols {
                 let a = self.get(i, k);
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
+                let b_row = other.row(k);
+                if a.is_finite() {
+                    for &j in &nonzero[nonzero_start[k]..nonzero_start[k + 1]] {
+                        out_row[j] += a * b_row[j];
+                    }
+                } else {
+                    for (o, &b) in out_row.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
                 }
             }
         }
@@ -368,6 +391,54 @@ mod tests {
         let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         let ab = a.mul(&b).unwrap();
         assert_eq!(ab, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]).unwrap());
+    }
+
+    #[test]
+    fn product_is_bitwise_the_plain_triple_loop() {
+        // The plain i-k-j product, skipping zero left entries as `mul` does.
+        fn plain(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for k in 0..a.cols() {
+                    if a.get(i, k) == 0.0 {
+                        continue;
+                    }
+                    for j in 0..b.cols() {
+                        out.add_to(i, j, a.get(i, k) * b.get(k, j));
+                    }
+                }
+            }
+            out
+        }
+        let inf = f64::INFINITY;
+        let a = Matrix::from_rows(&[
+            &[1.5, -0.0, 2.0, -3.0],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[inf, 1.0, 0.0, -0.0],
+            &[-2.0, f64::NAN, 1e-300, 7.0],
+            &[0.25, -0.5, -inf, 1e300],
+            &[1.0, 5.0, 1.0, 1.0],
+        ])
+        .unwrap();
+        // Column 3 sums to 0.1 + 0.2 + 0.3 in row 5, which rounds
+        // differently in any other order.
+        let b = Matrix::from_rows(&[
+            &[0.0, -0.0, 4.0, 0.1],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[-0.0, 3.0, -4.0, 0.2],
+            &[1e300, inf, -0.0, 0.3],
+        ])
+        .unwrap();
+        let want = plain(&a, &b);
+        let got = a.mul(&b).unwrap();
+        assert!(got.get(2, 0).is_nan(), "inf·0 must stay NaN");
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{got:?} != {want:?}");
+        }
+        for (rows, inner, cols) in [(0, 3, 2), (2, 0, 3), (3, 2, 0)] {
+            let p = Matrix::zeros(rows, inner).mul(&Matrix::zeros(inner, cols));
+            assert_eq!(p.unwrap(), Matrix::zeros(rows, cols));
+        }
     }
 
     #[test]

@@ -139,3 +139,158 @@ fn condition_estimate_brackets_true_condition() {
         );
     }
 }
+
+/// Asserts that every column of `m`'s inverse is bitwise `solve(e_c)`.
+fn assert_inverse_columns_are_solves(m: &Matrix, what: &str) {
+    let lu = m.lu().expect("test matrices are nonsingular");
+    let inv = lu.inverse().expect("a factor inverts");
+    let n = m.rows();
+    let mut e = vec![0.0; n];
+    for c in 0..n {
+        e[c] = 1.0;
+        let x = lu.solve(&e).expect("e_c has the factor's dimension");
+        e[c] = 0.0;
+        for (r, v) in x.iter().enumerate() {
+            assert_eq!(
+                inv.get(r, c).to_bits(),
+                v.to_bits(),
+                "{what}: inverse ({r},{c}) = {} but solve gives {v}",
+                inv.get(r, c)
+            );
+        }
+    }
+}
+
+/// Random sparse capacitance-like matrix: a chain of `n` islands with
+/// random extra couplings, where island 0 and some others couple to a
+/// lead. With `chain_only`, only the two end islands do, so every
+/// interior row is weakly diagonally dominant (diagonal = sum of
+/// couplings).
+fn random_capacitance(rng: &mut TestRng, n: usize, chain_only: bool) -> Matrix {
+    let mut m = Matrix::zeros(n, n);
+    let couple = |m: &mut Matrix, i: usize, j: usize, c: f64| {
+        m.add_to(i, i, c);
+        m.add_to(j, j, c);
+        m.add_to(i, j, -c);
+        m.add_to(j, i, -c);
+    };
+    for i in 1..n {
+        couple(&mut m, i - 1, i, rng.uniform(0.2, 5.0) * 1e-18);
+    }
+    if !chain_only {
+        for _ in 0..n / 3 {
+            let i = (rng.next_u64() % n as u64) as usize;
+            let j = (rng.next_u64() % n as u64) as usize;
+            if i != j {
+                couple(&mut m, i, j, rng.uniform(0.01, 1.0) * 1e-18);
+            }
+        }
+    }
+    for i in 0..n {
+        let to_lead = if chain_only {
+            i == n - 1
+        } else {
+            rng.uniform(0.0, 1.0) < 0.3
+        };
+        if to_lead || i == 0 {
+            m.add_to(i, i, rng.uniform(0.1, 2.0) * 1e-18);
+        }
+    }
+    m
+}
+
+/// Random sparse nonsymmetric matrix with small diagonals: a dominant
+/// entry per row on a random permutation, so partial pivoting swaps
+/// rows, plus sparse off-diagonal noise.
+fn random_pivoting(rng: &mut TestRng, n: usize) -> Matrix {
+    let mut sigma: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        sigma.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    let mut m = Matrix::zeros(n, n);
+    for (r, &target) in sigma.iter().enumerate() {
+        for c in 0..n {
+            if rng.uniform(0.0, 1.0) < 0.15 {
+                m.set(r, c, rng.uniform(-0.5, 0.5));
+            }
+        }
+        m.set(r, r, rng.uniform(-0.05, 0.05));
+        let big = rng.uniform(2.0, 4.0).copysign(rng.uniform(-1.0, 1.0));
+        m.set(r, target, big);
+    }
+    m
+}
+
+#[test]
+fn inverse_columns_are_bitwise_solves_on_dense_spd() {
+    let mut rng = TestRng(7);
+    for case in 0..CASES {
+        let n = 1 + case % 12;
+        assert_inverse_columns_are_solves(&random_spd(&mut rng, n), &format!("spd case {case}"));
+    }
+}
+
+#[test]
+fn inverse_columns_are_bitwise_solves_on_sparse_capacitance_matrices() {
+    let mut rng = TestRng(8);
+    for case in 0..CASES {
+        let n = 1 + case % 40;
+        let chain_only = case % 2 == 0;
+        let m = random_capacitance(&mut rng, n, chain_only);
+        assert_inverse_columns_are_solves(&m, &format!("capacitance case {case}"));
+    }
+}
+
+#[test]
+fn inverse_columns_are_bitwise_solves_when_pivoting_swaps_rows() {
+    let mut rng = TestRng(9);
+    let (mut factored, mut swapped) = (0, 0);
+    for case in 0..CASES {
+        let n = 2 + case % 30;
+        let m = random_pivoting(&mut rng, n);
+        if m.lu().is_err() {
+            continue;
+        }
+        factored += 1;
+        // The first pivot search alone swaps when a lower entry of
+        // column 0 outweighs the diagonal.
+        if (1..n).any(|r| m.get(r, 0).abs() > m.get(0, 0).abs()) {
+            swapped += 1;
+        }
+        assert_inverse_columns_are_solves(&m, &format!("pivoting case {case}"));
+    }
+    assert!(
+        factored >= CASES * 9 / 10,
+        "only {factored} matrices factored"
+    );
+    assert!(swapped >= CASES / 2, "only {swapped} matrices swapped rows");
+
+    // Zero diagonal entries force row swaps at the first and third pivots.
+    let m = Matrix::from_rows(&[
+        &[0.0, 2.0, 0.0, 1.0],
+        &[3.0, 0.0, -1.0, 0.0],
+        &[0.0, 1.0, 0.0, 4.0],
+        &[1.0, 0.0, 5.0, 0.0],
+    ])
+    .unwrap();
+    assert_inverse_columns_are_solves(&m, "zero diagonal");
+}
+
+#[test]
+fn inverse_columns_are_bitwise_solves_when_the_inverse_overflows() {
+    // Upper triangular, so no row swaps: column 3 of the inverse has
+    // x₂ = −1e200, x₁ = +∞, and x₀ = 0·∞ = NaN in `solve`. A sum over
+    // the factor's nonzeros alone would give x₀ = +0, so only the
+    // non-finite fallback keeps the column equal to `solve(e_3)`.
+    let m = Matrix::from_rows(&[
+        &[1.0, 0.0, 0.0, 0.0],
+        &[0.0, 1.0, 1e200, 0.0],
+        &[0.0, 0.0, 1.0, 1e200],
+        &[0.0, 0.0, 0.0, 1.0],
+    ])
+    .unwrap();
+    let inv = m.inverse().unwrap();
+    assert_eq!(inv.get(1, 3), f64::INFINITY);
+    assert!(inv.get(0, 3).is_nan());
+    assert_inverse_columns_are_solves(&m, "overflowing inverse");
+}

@@ -18,6 +18,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+# perfbench/ is a standalone package that builds against semsim-core,
+# -netlist, -logic and -serve by path, so a crate API change that
+# breaks the benchmark fails here rather than in a benchmark run.
+echo "==> cargo test --release (perfbench self-test)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
