@@ -8,6 +8,8 @@
 //! EXPERIMENTS.md at the workspace root for the experiment index and
 //! recorded outputs.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod devices;
 pub mod features;

@@ -36,6 +36,8 @@
 //!
 //! [`PointStatus`]: semsim_core::batch::PointStatus
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 pub mod scenario;

@@ -56,6 +56,8 @@
 //! assert!(check_circuit(&m).is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod circuit;
 mod diag;
 mod fixit;

@@ -36,14 +36,18 @@ pub struct CircuitState {
     electrons: Vec<i64>,
     /// Instantaneous lead voltages (V).
     lead_voltages: Vec<f64>,
-    /// Cached island potentials (V). Exactness depends on the solver:
-    /// the non-adaptive solver keeps these exact after every event, the
-    /// adaptive solver refreshes them lazily.
+    /// Cached island potentials (V), current after every event: both
+    /// solvers add each event's exact delta to every island. They
+    /// differ in when a value is re-derived from the charges instead
+    /// (the non-adaptive solver periodically; the adaptive solver at
+    /// its full refreshes and for an island read after more than
+    /// `num_islands` events unread), so their values differ in
+    /// rounding.
     pub(crate) phi: Vec<f64>,
     /// Maintained island charge vector `q̃` (C): updated O(1) per
     /// transfer, marked dirty on lead steps (which are rare). Lets a
     /// single island's potential be recomputed in O(islands) without
-    /// replaying event history.
+    /// accumulating event history.
     q_tilde: Vec<f64>,
     q_tilde_dirty: bool,
     /// Reusable buffer for charge-vector assembly — keeps potential

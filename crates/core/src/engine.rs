@@ -591,8 +591,8 @@ impl<'c> Simulation<'c> {
         self.event_log.as_ref()
     }
 
-    /// Exact potential (V) of any node right now (lazily refreshing the
-    /// adaptive solver's cache if needed).
+    /// Exact potential (V) of any node right now, read through the
+    /// solver (see [`Solver::ensure_island_potential`]).
     ///
     /// # Errors
     ///
@@ -614,8 +614,8 @@ impl<'c> Simulation<'c> {
         if self.cot_paths.is_empty() && self.super_info.is_none() {
             return Ok(());
         }
-        // The adaptive solver's cached potentials may be stale for the
-        // involved islands; refresh them first.
+        // Read every involved island through the solver, which applies
+        // the adaptive stale-island rule and screens the potential.
         let ctx = solver_ctx!(self);
         for p in 0..self.cot_paths.len() {
             let path = self.cot_paths[p];

@@ -1,27 +1,29 @@
 //! The adaptive solver's hot-loop kernels: flat loops over the
-//! structure-of-arrays junction buffers ([`JunctionSoA`]) with
-//! per-event gathers from the transposed (column-contiguous) `C⁻¹` and
-//! lead-response matrices.
+//! structure-of-arrays junction buffers ([`JunctionSoA`]) and over the
+//! island potentials, reading the transposed (column-contiguous) `C⁻¹`
+//! and lead-response matrices one contiguous row per event.
 //!
 //! ## Contract
 //!
-//! Every kernel is **bit-identical** to the per-junction scalar
-//! functions that `SolverSpec::AdaptiveDense` — the oracle — runs
-//! instead: [`crate::energy::delta_w`], [`crate::energy::potential_delta`]
-//! / [`crate::energy::lead_step_delta`], `orthodox_rate` /
-//! `QpRateTable::rate`, sequential `FenwickTree::set` calls, and a
-//! sequential per-entry replay fold. For the same inputs a kernel
-//! produces exactly the oracle's bytes, junction for junction, because
+//! Every kernel is **bit-identical** to the scalar functions that
+//! `SolverSpec::AdaptiveDense` — the oracle — runs instead:
+//! [`crate::energy::delta_w`], [`crate::energy::potential_delta`] /
+//! [`crate::energy::lead_step_delta`] (per junction terminal in the
+//! tests, per island in the potential update), `orthodox_rate` /
+//! `QpRateTable::rate`, and sequential `FenwickTree::set` calls. For
+//! the same inputs a kernel produces exactly the oracle's bytes,
+//! junction for junction and island for island, because
 //!
 //! * the transposed matrices ([`Circuit::transposed_inverse_capacitance`],
 //!   [`Circuit::transposed_lead_response`]) are bitwise copies of the
-//!   row-major originals, so a gather from a transposed column reads
-//!   the same bits as the strided row-major read;
+//!   row-major originals, so a read from a transposed row sees the same
+//!   bits as the strided row-major read;
 //! * per-lane arithmetic replicates the scalar expressions operand for
 //!   operand (the [`JunctionSoA`] charging coefficients are
 //!   precomputed with `delta_w`'s exact operand order);
-//! * nothing reassociates: per-junction computations are independent,
-//!   and the replay fold adds its per-entry deltas in strict log order.
+//! * nothing reassociates: per-junction and per-island computations are
+//!   independent, and each island adds one event's delta per call, in
+//!   event order.
 //!
 //! ## Error ordering
 //!
@@ -32,89 +34,10 @@
 //! surfaced error — first failing junction in ascending order, same
 //! fault stage — is identical, but dead scratch state may differ.
 
-use crate::circuit::{Circuit, JunctionId, JunctionSoA, NodeId};
+use crate::circuit::{Circuit, JunctionId, JunctionSoA};
 use crate::constants::E_CHARGE;
 use crate::rates::orthodox_rates;
 use crate::solver::{StateChange, TunnelModel};
-
-/// Lanes of [`replay_fold`]'s delta buffer.
-const REPLAY_LANES: usize = 8;
-
-/// Gather count below which [`replay_fold`] skips the row prefetch (a
-/// short window touches too little of the row for streaming it in to
-/// pay off).
-#[cfg(target_arch = "x86_64")]
-const PREFETCH_MIN_GATHERS: usize = 64;
-
-/// A replay-log entry with its node references pre-resolved to flat
-/// indices — the form the adaptive solver's lazy potential refresh
-/// folds. Resolving once at log-push time removes the per-(island ×
-/// entry) node-kind lookups a per-entry replay would pay.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplayEntry {
-    /// Source island of a transfer ([`JunctionSoA::NONE`] for a lead
-    /// endpoint, or for a lead step).
-    from: u32,
-    /// Destination island of a transfer ([`JunctionSoA::NONE`] for a
-    /// lead endpoint, or for a lead step).
-    to: u32,
-    /// Stepped lead index; [`JunctionSoA::NONE`] marks a transfer.
-    lead: u32,
-    /// `count·e` (C) for a transfer — pre-multiplied in the scalar
-    /// path's exact order — or `dv` (V) for a lead step.
-    coef: f64,
-}
-
-impl ReplayEntry {
-    /// Resolves a state change against the circuit's node table once,
-    /// at log-push time. The transfer coefficient pre-multiplies
-    /// `count as f64 * E_CHARGE` — the exact first factor of
-    /// [`crate::energy::potential_delta`]'s product.
-    pub(crate) fn resolve(circuit: &Circuit, change: StateChange) -> Self {
-        let idx = |n: NodeId| -> u32 {
-            circuit
-                .island_index(n)
-                .map_or(JunctionSoA::NONE, |i| i as u32)
-        };
-        match change {
-            StateChange::Transfer { from, to, count } => ReplayEntry {
-                from: idx(from),
-                to: idx(to),
-                lead: JunctionSoA::NONE,
-                coef: count as f64 * E_CHARGE,
-            },
-            StateChange::LeadStep { lead, dv } => ReplayEntry {
-                from: JunctionSoA::NONE,
-                to: JunctionSoA::NONE,
-                lead: lead as u32,
-                coef: dv,
-            },
-        }
-    }
-
-    /// Exact potential delta this entry causes on the island whose
-    /// `C⁻¹` row is `cinv_row` and lead-response row is `lead_row` —
-    /// operand for operand the expression of
-    /// [`crate::energy::potential_delta`] /
-    /// [`crate::energy::lead_step_delta`].
-    #[inline(always)]
-    pub(crate) fn delta(&self, cinv_row: &[f64], lead_row: &[f64]) -> f64 {
-        if self.lead != JunctionSoA::NONE {
-            return lead_row[self.lead as usize] * self.coef;
-        }
-        let xf = if self.from != JunctionSoA::NONE {
-            cinv_row[self.from as usize]
-        } else {
-            0.0
-        };
-        let xt = if self.to != JunctionSoA::NONE {
-            cinv_row[self.to as usize]
-        } else {
-            0.0
-        };
-        self.coef * ((0.0 + xf) - xt)
-    }
-}
 
 /// Potential change of one junction terminal for a transfer, from the
 /// transposed-`C⁻¹` columns of the event's endpoints. Replicates
@@ -259,55 +182,60 @@ pub(crate) fn tunnel_rates(
     }
 }
 
-/// Sequential fold of a replay-log window into one island's cached
-/// potential: returns `phi` after adding each entry's exact delta in
-/// log order. `cinv_row` is the island's dense `C⁻¹` row, `lead_row`
-/// its lead-response row. Per-entry deltas are independent pure
-/// products ([`ReplayEntry::delta`]) computed a buffer of lanes at a
-/// time; the accumulation keeps strict log order, so the buffering
-/// cannot reassociate the fold.
-pub(crate) fn replay_fold(
-    cinv_row: &[f64],
-    lead_row: &[f64],
-    entries: &[ReplayEntry],
-    phi: f64,
-) -> f64 {
-    // The replay window gathers at scattered columns of one `C⁻¹` row
-    // that has usually fallen out of cache since the island was last
-    // refreshed. Stream the whole row in ahead of the gathers:
-    // sequential prefetch beats hundreds of dependent random misses
-    // when the window is long enough to touch most of the row.
-    #[cfg(target_arch = "x86_64")]
-    if entries.len() * 2 >= PREFETCH_MIN_GATHERS {
-        const LINE: usize = 64 / std::mem::size_of::<f64>();
-        for chunk in cinv_row.chunks(LINE) {
-            // SAFETY: prefetch has no memory effects; the pointer is
-            // in-bounds of the row slice.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    chunk.as_ptr() as *const i8,
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
+/// Eager potential update: adds `change`'s exact potential delta to
+/// every island's cached potential `phi`, reading the event's
+/// contiguous transposed-matrix rows (the `C⁻¹` columns of a transfer's
+/// island endpoints, or the stepped lead's response column).
+///
+/// Per island the delta is operand for operand
+/// [`crate::energy::potential_delta`] /
+/// [`crate::energy::lead_step_delta`]. A lead endpoint keeps the scalar
+/// path's `0.0 + x` / `0.0 − x` forms, and a lead→lead transfer still
+/// adds `ke·0.0` (which can turn a `−0.0` potential into `+0.0`). Each
+/// island therefore receives exactly the oracle's per-island
+/// `node_delta` sum, in event order.
+pub(crate) fn potential_update(circuit: &Circuit, change: StateChange, phi: &mut [f64]) {
+    match change {
+        StateChange::Transfer { from, to, count } => {
+            let cinv_t = circuit.transposed_inverse_capacitance();
+            let ke = count as f64 * E_CHARGE;
+            match (circuit.island_index(from), circuit.island_index(to)) {
+                (Some(f), Some(t)) => {
+                    for ((p, &xf), &xt) in phi.iter_mut().zip(cinv_t.row(f)).zip(cinv_t.row(t)) {
+                        *p += ke * ((0.0 + xf) - xt);
+                    }
+                }
+                (Some(f), None) => {
+                    for (p, &xf) in phi.iter_mut().zip(cinv_t.row(f)) {
+                        *p += ke * (0.0 + xf);
+                    }
+                }
+                (None, Some(t)) => {
+                    for (p, &xt) in phi.iter_mut().zip(cinv_t.row(t)) {
+                        *p += ke * (0.0 - xt);
+                    }
+                }
+                (None, None) => {
+                    let d = ke * 0.0;
+                    for p in phi.iter_mut() {
+                        *p += d;
+                    }
+                }
+            }
+        }
+        StateChange::LeadStep { lead, dv } => {
+            let lr = circuit.transposed_lead_response().row(lead);
+            for (p, &x) in phi.iter_mut().zip(lr) {
+                *p += x * dv;
             }
         }
     }
-    let mut buf = [0.0f64; REPLAY_LANES];
-    let mut phi = phi;
-    for chunk in entries.chunks(REPLAY_LANES) {
-        for (slot, e) in buf.iter_mut().zip(chunk) {
-            *slot = e.delta(cinv_row, lead_row);
-        }
-        for &d in &buf[..chunk.len()] {
-            phi += d;
-        }
-    }
-    phi
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::CircuitBuilder;
+    use crate::circuit::{CircuitBuilder, NodeId};
     use crate::constants::{ev_to_joule, K_B};
     use crate::energy::{delta_w, CircuitState};
     use crate::rates::orthodox_rate;
@@ -316,8 +244,9 @@ mod tests {
 
     /// Eleven coupled islands (a chain with a gate lead and a cross
     /// capacitor) and fourteen junctions — neither count a multiple of
-    /// the replay lane width — so every kernel exercises island and
-    /// lead terminals and partial tails.
+    /// 4 or 8, the f64 lane counts of 256- and 512-bit vectors — so
+    /// every kernel exercises island and lead terminals and partial
+    /// vector tails.
     fn rig() -> Circuit {
         let mut b = CircuitBuilder::new();
         let vdd = b.add_lead(8e-3);
@@ -374,7 +303,9 @@ mod tests {
     fn test_factors_match_scalar_node_deltas_bitwise() {
         let c = rig();
         let nj = c.num_junctions();
-        assert_ne!(nj % REPLAY_LANES, 0);
+        for lanes in [4, 8] {
+            assert_ne!(nj % lanes, 0);
+        }
         // ΔW' scales comparable to one event's e·δφ, so that at this
         // threshold some junctions flag and some accumulate.
         let dw_fw: Vec<f64> = (0..nj).map(|i| 1e-20 * (i as f64 + 1.0)).collect();
@@ -477,39 +408,57 @@ mod tests {
     }
 
     #[test]
-    fn replay_fold_matches_sequential_per_entry_fold_bitwise() {
+    fn potential_update_matches_scalar_node_deltas_bitwise() {
         let c = rig();
-        let kinds = changes(&c);
-        // Window lengths around the lane width and the prefetch
-        // threshold, none but the empty one a multiple of 8.
-        for len in [0usize, 1, 7, 9, 31, 33, 67] {
-            let log: Vec<StateChange> = (0..len)
-                .map(|k| match kinds[k % kinds.len()] {
-                    StateChange::LeadStep { lead, .. } => StateChange::LeadStep {
-                        lead,
-                        dv: 1e-4 * (k as f64 - 30.0),
-                    },
-                    transfer => transfer,
-                })
-                .collect();
-            let entries: Vec<ReplayEntry> =
-                log.iter().map(|&d| ReplayEntry::resolve(&c, d)).collect();
-            for island in 0..c.num_islands() {
-                let cinv_row = c.inverse_capacitance().row(island);
-                let lead_row = c.lead_response().row(island);
-                // Oracle: the per-entry sequential loop over the scalar
-                // potential deltas.
-                let node = c.island_node(island);
-                let phi0 = 1e-5 * (island as f64 + 1.0);
-                let mut expect = phi0;
-                for (&d, e) in log.iter().zip(&entries) {
-                    let delta = AdaptiveSolver::node_delta(&c, d, node);
-                    assert_eq!(e.delta(cinv_row, lead_row).to_bits(), delta.to_bits());
-                    expect += delta;
+        let n = c.num_islands();
+        for lanes in [2, 4, 8] {
+            assert_ne!(n % lanes, 0);
+        }
+        // Signed zeros (a lead→lead transfer's `ke·0.0` turns −0.0 into
+        // +0.0), ordinary potentials, and one potential so large that
+        // every delta is below half its ulp.
+        let mut phi0: Vec<f64> = (0..n)
+            .map(|k| match k % 4 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => 1e-3 * (k as f64 - 5.0),
+            })
+            .collect();
+        phi0[n - 1] = 1e16;
+        let scalar = |phi: &mut [f64], change: StateChange, seen: &mut (usize, usize)| {
+            for (k, p) in phi.iter_mut().enumerate() {
+                let d = AdaptiveSolver::node_delta(&c, change, c.island_node(k));
+                let next = *p + d;
+                if d != 0.0 && next == *p {
+                    seen.0 += 1;
                 }
-                let got = replay_fold(cinv_row, lead_row, &entries, phi0);
-                assert_eq!(got.to_bits(), expect.to_bits(), "len {len} island {island}");
+                if p.to_bits() == (-0.0f64).to_bits() && next.to_bits() == 0.0f64.to_bits() {
+                    seen.1 += 1;
+                }
+                *p = next;
+            }
+        };
+        let mut seen = (0, 0);
+        // Each change from the same start, then all of them in sequence,
+        // twice.
+        let all = changes(&c);
+        let sequence: Vec<StateChange> = all.iter().chain(&all).copied().collect();
+        let mut cases: Vec<&[StateChange]> = all.chunks(1).collect();
+        cases.push(&sequence);
+        for case in cases {
+            let (mut phi, mut expect) = (phi0.clone(), phi0.clone());
+            for &change in case {
+                scalar(&mut expect, change, &mut seen);
+                potential_update(&c, change, &mut phi);
+                for (k, (a, b)) in phi.iter().zip(&expect).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{change:?} island {k}");
+                }
             }
         }
+        let (rounded_away, zero_flipped) = seen;
+        assert!(
+            rounded_away > 0 && zero_flipped > 0,
+            "{rounded_away} deltas below half an ulp, {zero_flipped} −0.0 → +0.0"
+        );
     }
 }

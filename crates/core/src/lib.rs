@@ -72,6 +72,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod checkpoint;
 pub mod circuit;

@@ -25,22 +25,30 @@
 //! ## Exactness bookkeeping
 //!
 //! Island potentials are *linear* in the island charges, so the
-//! per-event potential deltas are exact. This implementation exploits
-//! that: it keeps a log of every state change since the last full
-//! refresh and refreshes an island's cached potential *lazily* by
-//! replaying only the log entries the island has not seen. Potentials
-//! used to recompute a flagged junction's rates are therefore exact; the
-//! approximation — identical to the paper's — is that *unflagged*
-//! junctions keep stale rates. Because the skipped error accumulates in
-//! `b₀` only for junctions that keep being tested (distant junctions are
-//! not even tested), all rates are additionally recomputed every
-//! `refresh_interval` events, as the paper prescribes.
+//! per-event potential deltas are exact. Every state change adds its
+//! delta to every island's cached potential at once
+//! (`kernels::potential_update`: one or two contiguous `C⁻¹` columns
+//! per transfer, one lead-response column per lead step), so the
+//! potentials used to recompute a flagged junction's rates are always
+//! current; the approximation — identical to the paper's — is that
+//! *unflagged* junctions keep stale rates. Because the skipped error
+//! accumulates in `b₀` only for junctions that keep being tested
+//! (distant junctions are not even tested), all rates are additionally
+//! recomputed every `refresh_interval` events, as the paper prescribes.
+//!
+//! One rule depends on when an island is read: an island read
+//! more than `num_islands` events after its previous read (or after the
+//! last full refresh or resync) takes its potential from the maintained
+//! charge vector (`CircuitState::exact_island_potential`) instead of its
+//! accumulated deltas. Both values are exact up to rounding, but they
+//! round differently, so the rule is part of the trajectory's
+//! definition: removing it changes trajectory bits.
 
 use crate::circuit::{Circuit, JunctionId, NodeId};
 use crate::energy::{lead_step_delta, potential_delta, CircuitState};
 use crate::fenwick::FenwickTree;
 use crate::health::{screen_finite, screen_rate, FaultStage};
-use crate::kernels::{self, ReplayEntry};
+use crate::kernels;
 use crate::solver::{write_junction_rates, SolverContext, StateChange};
 use crate::CoreError;
 
@@ -72,12 +80,10 @@ pub struct AdaptiveSolver {
     dw_bw: Vec<f64>,
     /// Accumulated testing factor `b₀` per junction.
     b0: Vec<f64>,
-    /// Replay log since the last full refresh, with node references
-    /// pre-resolved to flat indices ([`ReplayEntry::resolve`]) so the
-    /// per-island replay fold is free of node-kind lookups.
-    log: Vec<ReplayEntry>,
-    /// Per-island index into `log` of the first unapplied entry.
-    applied: Vec<usize>,
+    /// Per-island event stamp: `events_since_refresh` at the island's
+    /// last read ([`AdaptiveSolver::refresh_island`]).
+    applied: Vec<u64>,
+    /// State changes since the last full refresh or resync.
     events_since_refresh: u64,
     stats: AdaptiveStats,
     /// Reference mode: evaluate dependency membership from the dense
@@ -112,7 +118,6 @@ impl AdaptiveSolver {
             dw_fw: vec![0.0; nj],
             dw_bw: vec![0.0; nj],
             b0: vec![0.0; nj],
-            log: Vec::new(),
             applied: vec![0; circuit.num_islands()],
             events_since_refresh: 0,
             stats: AdaptiveStats::default(),
@@ -127,10 +132,10 @@ impl AdaptiveSolver {
 
     /// Switches this solver to dense-reference mode: dependency
     /// membership is recomputed from the dense `C⁻¹`/lead-response
-    /// matrices on every event, and tests, rate writes and the replay
-    /// fold run per junction on the scalar functions. Slower, but free
-    /// of precomputed structure and batched kernels — the oracle the
-    /// optimized path is asserted bit-identical against.
+    /// matrices on every event, tests and rate writes run per junction
+    /// and the potential update per island on the scalar functions.
+    /// Slower, but free of precomputed structure and batched kernels —
+    /// the oracle the optimized path is asserted bit-identical against.
     pub fn with_dense_reference(mut self) -> Self {
         self.dense_reference = true;
         self
@@ -151,43 +156,26 @@ impl AdaptiveSolver {
         &self.stats
     }
 
-    /// Brings `island`'s cached potential up to date: replays the
-    /// unapplied tail of the change log when it is short, or recomputes
-    /// the potential from the maintained charge vector in O(islands)
-    /// when the island has been stale for longer than that — so one
-    /// refresh never costs more than a single `C⁻¹` row product.
+    /// Readies `island`'s cached potential for a read. Potentials are
+    /// updated eagerly, so this only applies the stale-island rule: an
+    /// island last read more than `num_islands` events ago takes
+    /// [`CircuitState::exact_island_potential`] instead of its
+    /// accumulated deltas. A potential that moved since its last read
+    /// is screened for non-finite values.
     pub(crate) fn refresh_island(
         &mut self,
         circuit: &Circuit,
         state: &mut CircuitState,
         island: usize,
     ) -> Result<(), CoreError> {
-        let from_idx = self.applied[island];
-        let pending = self.log.len() - from_idx.min(self.log.len());
+        let pending = self.events_since_refresh - self.applied[island];
         if pending == 0 {
             return Ok(());
         }
-        if pending > circuit.num_islands() {
+        if pending > circuit.num_islands() as u64 {
             state.phi[island] = state.exact_island_potential(circuit, island);
-        } else {
-            // Per-entry deltas ([`ReplayEntry::delta`] — the exact
-            // `potential_delta` / `lead_step_delta` expressions over
-            // pre-resolved indices) accumulated in strict log order:
-            // the batched kernel and the oracle's plain fold produce
-            // the same bits.
-            let cinv_row = circuit.inverse_capacitance().row(island);
-            let lead_row = circuit.lead_response().row(island);
-            let entries = &self.log[from_idx..];
-            let phi = state.phi[island];
-            state.phi[island] = if self.dense_reference {
-                entries
-                    .iter()
-                    .fold(phi, |phi, e| phi + e.delta(cinv_row, lead_row))
-            } else {
-                kernels::replay_fold(cinv_row, lead_row, entries, phi)
-            };
         }
-        self.applied[island] = self.log.len();
+        self.applied[island] = self.events_since_refresh;
         screen_finite(FaultStage::IslandPotential, Some(island), state.phi[island])?;
         Ok(())
     }
@@ -214,8 +202,8 @@ impl AdaptiveSolver {
         state: &mut CircuitState,
         rates: &mut FenwickTree,
     ) -> Result<(), CoreError> {
-        // Establish the exact-potential invariant the replay log
-        // maintains from here on.
+        // Establish the exact-potential invariant the eager updates
+        // maintain from here on.
         state.recompute_potentials(ctx.circuit);
         // The rate table is freshly zeroed at construction, so the
         // initial rewrite may use the from-zero batched Fenwick
@@ -234,16 +222,19 @@ impl AdaptiveSolver {
         rates_from_zero: bool,
     ) -> Result<(), CoreError> {
         let circuit = ctx.circuit;
-        // Replaying the log per island costs O(islands·pending); the
-        // exact matvec costs O(islands²). Pick the cheaper route.
-        if self.log.len() < circuit.num_islands() {
+        // Fewer events than islands since the last refresh: no island
+        // can be stale, so keep the eagerly updated potentials (each
+        // read once, i.e. screened). Otherwise re-derive every potential
+        // with the exact matvec. Which branch runs decides the rounding
+        // each island carries forward, so the split is part of the
+        // trajectory's definition.
+        if self.events_since_refresh < circuit.num_islands() as u64 {
             for island in 0..circuit.num_islands() {
                 self.refresh_island(circuit, state, island)?;
             }
         } else {
             state.recompute_potentials(circuit);
         }
-        self.log.clear();
         self.applied.iter_mut().for_each(|a| *a = 0);
         self.rewrite_all_rates(ctx, state, rates, rates_from_zero)?;
         self.stats.full_refreshes += 1;
@@ -333,10 +324,10 @@ impl AdaptiveSolver {
         Ok(())
     }
 
-    /// Discards the replay log and every cache, recomputing potentials
-    /// with the full matvec (never the replay path — checkpoint/resume
-    /// relies on both sides reaching bit-identical potentials, and the
-    /// replay path's summation order depends on history).
+    /// Discards every cache, recomputing potentials with the full matvec
+    /// (never the accumulated deltas — checkpoint/resume relies on both
+    /// sides reaching bit-identical potentials, and the accumulated
+    /// deltas' rounding depends on history).
     pub(crate) fn resync(
         &mut self,
         ctx: &SolverContext<'_>,
@@ -344,7 +335,6 @@ impl AdaptiveSolver {
         rates: &mut FenwickTree,
     ) -> Result<(), CoreError> {
         state.recompute_potentials(ctx.circuit);
-        self.log.clear();
         self.applied.iter_mut().for_each(|a| *a = 0);
         // The rate table may hold pre-resync values — overwrite
         // incrementally, never the from-zero rebuild.
@@ -382,9 +372,10 @@ impl AdaptiveSolver {
         self.dw_bw[junction] *= factor;
     }
 
-    /// Exact potential change of `node` caused by one log entry (0 for
-    /// leads except the stepped lead itself) — the oracle's scalar
-    /// form of the testing kernel's per-terminal delta.
+    /// Exact potential change of `node` caused by one state change (0
+    /// for leads except the stepped lead itself) — the oracle's scalar
+    /// form of the testing kernel's per-terminal delta and of the
+    /// potential update's per-island delta.
     #[inline]
     pub(crate) fn node_delta(circuit: &Circuit, change: StateChange, node: NodeId) -> f64 {
         match change {
@@ -416,7 +407,15 @@ impl AdaptiveSolver {
         self.stats.events += 1;
         self.events_since_refresh += 1;
 
-        self.log.push(ReplayEntry::resolve(circuit, change));
+        // Every island takes this change's exact potential delta now; the
+        // oracle computes it per island with the scalar function.
+        if self.dense_reference {
+            for (k, phi) in state.phi.iter_mut().enumerate() {
+                *phi += Self::node_delta(circuit, change, circuit.island_node(k));
+            }
+        } else {
+            kernels::potential_update(circuit, change, &mut state.phi);
+        }
 
         if self.events_since_refresh >= self.refresh_interval {
             // Periodic full recalculation (paper: "all junction
@@ -731,8 +730,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(solver.stats().full_refreshes, 2);
-        // After refreshes the log must be compact.
-        assert!(solver.log.len() < 3);
+        // The second refresh restarted every island's event stamp.
+        assert_eq!(solver.events_since_refresh, 0);
+        assert!(solver.applied.iter().all(|&a| a == 0));
     }
 
     #[test]
@@ -760,39 +760,86 @@ mod tests {
         assert!(rates.total() != total_before);
     }
 
+    /// Applies `n` single-electron vdd → `i1` transfers through the
+    /// solver.
+    fn feed_transfers(
+        c: &Circuit,
+        ctx: &SolverContext<'_>,
+        state: &mut CircuitState,
+        rates: &mut FenwickTree,
+        solver: &mut AdaptiveSolver,
+        n: usize,
+    ) {
+        let change = StateChange::Transfer {
+            from: NodeId(1),
+            to: c.island_node(0),
+            count: 1,
+        };
+        for _ in 0..n {
+            state.apply_transfer(c, NodeId(1), c.island_node(0), 1);
+            solver.apply_change(ctx, state, rates, change).unwrap();
+        }
+    }
+
     #[test]
-    fn lazy_island_refresh_is_exact() {
+    fn eager_potentials_track_exact_without_refresh() {
         let (c, _js) = two_stage();
         let model = TunnelModel::Normal;
         let (mut state, mut rates, mut solver, layout) = make_parts(&c, 10.0, u64::MAX);
         let ctx = SolverContext::new(&c, K_B * 5.0, &model, layout);
         solver.initialize(&ctx, &mut state, &mut rates).unwrap();
 
-        // Huge threshold → nothing flags → potentials go stale.
-        let i1 = c.island_node(0);
-        for _ in 0..5 {
-            state.apply_transfer(&c, NodeId(1), i1, 1);
-            solver
-                .apply_change(
-                    &ctx,
-                    &mut state,
-                    &mut rates,
-                    StateChange::Transfer {
-                        from: NodeId(1),
-                        to: i1,
-                        count: 1,
-                    },
-                )
-                .unwrap();
-        }
-        // Lazily refresh each island and compare to exact.
-        for island in 0..c.num_islands() {
-            solver.refresh_island(&c, &mut state, island).unwrap();
-        }
-        let lazy = state.island_potentials().to_vec();
+        // Huge threshold → nothing flags → no island is ever read, yet
+        // every cached potential is current.
+        feed_transfers(&c, &ctx, &mut state, &mut rates, &mut solver, 5);
+        let old = state.set_lead_voltage(1, 20e-3);
+        solver
+            .apply_change(
+                &ctx,
+                &mut state,
+                &mut rates,
+                StateChange::LeadStep {
+                    lead: 1,
+                    dv: 20e-3 - old,
+                },
+            )
+            .unwrap();
+        let eager = state.island_potentials().to_vec();
         state.recompute_potentials(&c);
-        for (a, b) in lazy.iter().zip(state.island_potentials()) {
+        for (a, b) in eager.iter().zip(state.island_potentials()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn island_unread_for_more_than_num_islands_events_takes_exact_potential() {
+        let (c, _js) = two_stage();
+        let n = c.num_islands();
+        let model = TunnelModel::Normal;
+        let (mut state, mut rates, mut solver, layout) = make_parts(&c, 10.0, u64::MAX);
+        let ctx = SolverContext::new(&c, K_B * 5.0, &model, layout);
+        solver.initialize(&ctx, &mut state, &mut rates).unwrap();
+
+        // Exactly `n` events since the last refresh: not stale, the
+        // read keeps the accumulated value (here deliberately offset,
+        // so a recompute would show).
+        feed_transfers(&c, &ctx, &mut state, &mut rates, &mut solver, n);
+        state.phi[0] += 1.0;
+        let kept = state.phi[0];
+        solver.refresh_island(&c, &mut state, 0).unwrap();
+        assert_eq!(state.phi[0].to_bits(), kept.to_bits());
+
+        // One more: island 1 is now `n + 1` events behind and takes the
+        // charge-vector product, discarding its offset; island 0, read
+        // one event ago, keeps its value.
+        feed_transfers(&c, &ctx, &mut state, &mut rates, &mut solver, 1);
+        state.phi[1] += 1.0;
+        let exact = state.clone().exact_island_potential(&c, 1);
+        solver.refresh_island(&c, &mut state, 1).unwrap();
+        assert_eq!(state.phi[1].to_bits(), exact.to_bits());
+        let kept = state.phi[0];
+        solver.refresh_island(&c, &mut state, 0).unwrap();
+        assert_eq!(state.phi[0].to_bits(), kept.to_bits());
+        assert!((state.phi[0] - 1.0 - state.clone().exact_island_potential(&c, 0)).abs() < 1e-12);
     }
 }

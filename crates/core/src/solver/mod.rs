@@ -165,7 +165,12 @@ impl Solver {
         }
     }
 
-    /// Guarantees `state`'s cached potential of `island` is exact.
+    /// Readies `state`'s cached potential of `island` for a read. Both
+    /// solvers keep every potential current after each event; the
+    /// adaptive solver applies its stale-island rule here (an island
+    /// unread for more than `num_islands` events takes its potential
+    /// from the charge vector) and screens the value for non-finite
+    /// numbers.
     pub fn ensure_island_potential(
         &mut self,
         ctx: &SolverContext<'_>,

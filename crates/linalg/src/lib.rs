@@ -27,6 +27,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod lu;
 mod matrix;

@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod benchmarks;
 mod delay;
 mod elaborate;

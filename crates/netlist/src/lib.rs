@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod circuit_file;
 mod compile;
 mod error;

@@ -23,6 +23,8 @@
 //! assert!((v - 2.0).abs() < 1e-7);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bcs;
 mod integrate;
 mod stable;

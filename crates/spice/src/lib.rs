@@ -30,6 +30,8 @@
 //! assert!(on.abs() > 10.0 * off.abs());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod logic_map;
 pub mod nodal;
 

@@ -27,6 +27,8 @@
 //! See `docs/validation.md` for the grid, the tolerance math, and how
 //! to add a point.
 
+#![forbid(unsafe_code)]
+
 pub mod grid;
 pub mod report;
 pub mod run;

@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use semsim_chaos as chaos;
 pub use semsim_check as check;
 pub use semsim_core as core;

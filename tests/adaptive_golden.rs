@@ -1,0 +1,162 @@
+//! Golden adaptive trajectories, pinned to recorded bits.
+//!
+//! The other bit-identity suites compare two runs of the current code:
+//! the optimized solver against `SolverSpec::AdaptiveDense`, or a
+//! straight run against a resumed one. A change that moves both sides
+//! the same way passes them. This test pins the trajectory itself, with
+//! expected values recorded from the lazy replay-log solver that
+//! preceded eager potential updates. Any change to a single bit of an
+//! adaptive trajectory fails here and has to re-record the values on
+//! purpose.
+//!
+//! The workload is 74LS153 (168 islands) under the adaptive solver at
+//! θ = 0.05, with every input high, input `i0` pulled low mid-run, the
+//! delay output probed on every event, and every island's potential
+//! read back through `Simulation::node_potential` at the end. Two
+//! refresh intervals cover both branches of the periodic full refresh:
+//!
+//! * 1000 events exceed the island count, so the refresh recomputes
+//!   every potential with the full `C⁻¹·q̃` product, and an island read
+//!   more than 168 events after its previous read takes its potential
+//!   from the charge vector instead of its accumulated updates;
+//! * 100 events stay below it, so the refresh keeps the accumulated
+//!   potentials.
+//!
+//! Only public results and `node_potential` reads are digested, never
+//! the raw cached potentials of `CircuitState`.
+
+use semsim::core::engine::{RunLength, SimConfig, Simulation, SolverSpec};
+use semsim::core::solver::AdaptiveStats;
+use semsim::logic::{elaborate, Benchmark, Elaborated, SetLogicParams};
+
+/// Events before and after the input toggle.
+const EVENTS_PER_PHASE: u64 = 5_000;
+
+/// What one run is pinned by.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// Events of both phases.
+    events: u64,
+    /// `Simulation::time()` at the end.
+    time_bits: u64,
+    /// Digest of both records' durations and electron counts.
+    counts: u64,
+    /// Digest of every probe sample's time and potential.
+    probe: u64,
+    /// Digest of every island's `node_potential` at the end.
+    potentials: u64,
+    /// Cumulative adaptive work counters.
+    stats: AdaptiveStats,
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+fn run(elab: &Elaborated, inputs: &[String], spec: SolverSpec) -> Golden {
+    let params = SetLogicParams::default();
+    let cfg = SimConfig::new(params.temperature)
+        .with_seed(1)
+        .with_solver(spec);
+    let mut sim = Simulation::new(&elab.circuit, cfg).expect("simulation");
+    for name in inputs {
+        let lead = elab.input_lead(name).expect("input");
+        sim.set_lead_voltage(lead, params.vdd).expect("input high");
+    }
+    let out = elab
+        .signal(Benchmark::Ls153.delay_output())
+        .expect("delay output");
+    sim.add_probe(out, 1);
+    let first = sim.run(RunLength::Events(EVENTS_PER_PHASE)).expect("run");
+    let toggled = elab.input_lead("i0").expect("input i0");
+    sim.set_lead_voltage(toggled, 0.0).expect("input low");
+    let second = sim.run(RunLength::Events(EVENTS_PER_PHASE)).expect("run");
+
+    let counts = digest([&first, &second].into_iter().flat_map(|r| {
+        std::iter::once(r.duration.to_bits()).chain(r.electron_counts.iter().map(|c| c.to_bits()))
+    }));
+    let probe = digest(
+        second.probes[0]
+            .samples()
+            .iter()
+            .flat_map(|&(t, v)| [t.to_bits(), v.to_bits()]),
+    );
+    let islands: Vec<_> = (0..elab.circuit.num_islands())
+        .map(|i| elab.circuit.island_node(i))
+        .collect();
+    let potentials = digest(islands.into_iter().map(|node| {
+        sim.node_potential(node)
+            .expect("finite potential")
+            .to_bits()
+    }));
+    Golden {
+        events: first.events + second.events,
+        time_bits: sim.time().to_bits(),
+        counts,
+        probe,
+        potentials,
+        stats: second.adaptive_stats.expect("adaptive solver"),
+    }
+}
+
+#[test]
+fn ls153_adaptive_trajectories_match_recorded_bits() {
+    let logic = Benchmark::Ls153.logic();
+    let elab = elaborate(&logic, &SetLogicParams::default()).expect("elaborate");
+    assert_eq!(elab.circuit.num_islands(), 168);
+    let expected = [
+        (
+            1_000,
+            Golden {
+                events: 10_000,
+                time_bits: 0x3e90_2421_b95b_56c2,
+                counts: 0x894e_1e95_c155_219c,
+                probe: 0xf432_74ae_23f1_aebf,
+                potentials: 0x88be_8629_12aa_e665,
+                stats: AdaptiveStats {
+                    events: 10_011,
+                    junctions_tested: 564_225,
+                    rate_recalcs: 58_785,
+                    full_refreshes: 10,
+                },
+            },
+        ),
+        (
+            100,
+            Golden {
+                events: 10_000,
+                time_bits: 0x3e8f_9933_b7f6_b9c6,
+                counts: 0x44fb_2b8c_4a8c_0011,
+                probe: 0x1651_043c_2a73_d599,
+                potentials: 0x44b2_d5e1_f49c_7a44,
+                stats: AdaptiveStats {
+                    events: 10_011,
+                    junctions_tested: 561_577,
+                    rate_recalcs: 78_804,
+                    full_refreshes: 100,
+                },
+            },
+        ),
+    ];
+    for (refresh_interval, want) in expected {
+        let threshold = 0.05;
+        for spec in [
+            SolverSpec::Adaptive {
+                threshold,
+                refresh_interval,
+            },
+            SolverSpec::AdaptiveDense {
+                threshold,
+                refresh_interval,
+            },
+        ] {
+            let got = run(&elab, &logic.inputs, spec);
+            assert_eq!(got, want, "{spec:?}: got {got:#x?}");
+        }
+    }
+}
