@@ -1,19 +1,24 @@
 //! Measures the wall-clock cost of the periodic drift audit on the
 //! shipped `set_sweep.cir` example: the same trajectory is timed with
-//! auditing off and with auditing on, and the relative slowdown is
-//! printed as `audit-overhead-pct: X.XX` (the line `scripts/ci.sh`
-//! greps to enforce the <5 % overhead budget).
+//! auditing off and with auditing on, in interleaved blocks
+//! ([`semsim_bench::timing::paired_overhead`]), and the median
+//! per-block slowdown is printed as `audit-overhead-pct: X.XX` (the
+//! line `scripts/ci.sh` greps to enforce the <5 % overhead budget).
 //!
 //! Arguments: `events` (timed events per run, default 400000),
-//! `interval` (audit period in events, default 1000), `seed` (1),
-//! `netlist` is fixed to `examples/netlists/set_sweep.cir` resolved
+//! `interval` (audit period in events, default 1000), `seed` (1);
+//! the netlist is fixed to `examples/netlists/set_sweep.cir` resolved
 //! against the workspace root.
 
 use std::time::Instant;
 
 use semsim_bench::args::Args;
+use semsim_bench::timing::paired_overhead;
 use semsim_core::engine::{RunLength, SimConfig, Simulation};
 use semsim_netlist::CircuitFile;
+
+/// Blocks of two (plain, audited) pairs: 42 pairs, 84 timed runs.
+const BLOCKS: usize = 21;
 
 fn netlist_path() -> std::path::PathBuf {
     // crates/bench/ → workspace root.
@@ -35,25 +40,6 @@ fn time_once(cfg: &SimConfig, circuit: &semsim_core::circuit::Circuit, events: u
     t0.elapsed().as_secs_f64()
 }
 
-/// Best-of-7 for both configurations, with the repetitions interleaved
-/// (base, audited, base, audited, …) so machine-wide drift — frequency
-/// scaling, co-tenant load — hits both sides alike instead of biasing
-/// whichever side happens to run second.
-fn time_pair(
-    base_cfg: &SimConfig,
-    audit_cfg: &SimConfig,
-    circuit: &semsim_core::circuit::Circuit,
-    events: u64,
-) -> (f64, f64) {
-    let mut best_base = f64::INFINITY;
-    let mut best_audit = f64::INFINITY;
-    for _ in 0..7 {
-        best_base = best_base.min(time_once(base_cfg, circuit, events));
-        best_audit = best_audit.min(time_once(audit_cfg, circuit, events));
-    }
-    (best_base, best_audit)
-}
-
 fn main() {
     let args = Args::from_env();
     let events = args.u64_or("events", 400_000);
@@ -68,24 +54,30 @@ fn main() {
     let cfg = file.sim_config().expect("shipped example configures");
 
     println!(
-        "# drift-audit overhead on {} ({} junctions, {} timed events, audit every {})",
+        "# drift-audit overhead on {} ({} junctions, {} timed events, audit every {}, {} blocks)",
         path.display(),
         compiled.circuit.num_junctions(),
         events,
-        interval
+        interval,
+        BLOCKS
     );
 
     let base_cfg = cfg.clone().with_seed(seed);
     let audit_cfg = base_cfg.clone().with_audit_interval(interval);
 
-    let (t_base, t_audit) = time_pair(&base_cfg, &audit_cfg, &compiled.circuit, events);
-
-    let pct = (t_audit - t_base) / t_base * 100.0;
-    println!(
-        "baseline: {:.3e} s   audited: {:.3e} s   ({:.1} ns/event baseline)",
-        t_base,
-        t_audit,
-        t_base / events as f64 * 1e9
+    let circuit = &compiled.circuit;
+    let o = paired_overhead(
+        BLOCKS,
+        || time_once(&base_cfg, circuit, events),
+        || time_once(&audit_cfg, circuit, events),
     );
-    println!("audit-overhead-pct: {pct:.2}");
+    println!(
+        "baseline: {:.3e} s   audited: {:.3e} s   ({:.1} ns/event baseline, medians)",
+        o.plain_s,
+        o.treated_s,
+        o.plain_s / events as f64 * 1e9
+    );
+    let blocks: Vec<String> = o.block_pct.iter().map(|p| format!("{p:.1}")).collect();
+    println!("per-block %: {}", blocks.join(" "));
+    println!("audit-overhead-pct: {:.2}", o.median_pct());
 }

@@ -1,9 +1,10 @@
 //! Measures the wall-clock cost of journaling a batch sweep on the
 //! shipped `set_sweep.cir` example: the same 21-point sweep is timed
-//! without a journal and with one, the results are asserted
-//! bit-identical, and the relative slowdown is printed as
-//! `journal-overhead-pct: X.XX` (the line `scripts/ci.sh` greps to
-//! enforce the <10 % overhead budget).
+//! without a journal and with one, in interleaved blocks
+//! ([`semsim_bench::timing::paired_overhead`]), the results are
+//! asserted bit-identical, and the median per-block slowdown is
+//! printed as `journal-overhead-pct: X.XX` (the line `scripts/ci.sh`
+//! greps to enforce the <10 % overhead budget).
 //!
 //! Arguments: `events` (Monte Carlo events per point, default 20000),
 //! `threads` (worker threads, default 1 for stable timing).
@@ -11,10 +12,14 @@
 use std::time::Instant;
 
 use semsim_bench::args::Args;
+use semsim_bench::timing::paired_overhead;
 use semsim_core::batch::{BatchOpts, BatchReport};
 use semsim_core::engine::SweepPoint;
 use semsim_core::par::ParOpts;
 use semsim_netlist::CircuitFile;
+
+/// Blocks of two (plain, journaled) pairs: 42 pairs, 84 timed sweeps.
+const BLOCKS: usize = 21;
 
 fn netlist_path() -> std::path::PathBuf {
     // crates/bench/ → workspace root.
@@ -25,21 +30,22 @@ fn netlist_path() -> std::path::PathBuf {
     root.join("examples/netlists/set_sweep.cir")
 }
 
-/// Best-of-3 wall-clock seconds for one full batch sweep; returns the
-/// timing together with the last report for the bit-identity check.
-fn time_batch(file: &CircuitFile, opts: &BatchOpts) -> (f64, BatchReport<SweepPoint>) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..3 {
-        if let Some(path) = &opts.journal {
-            let _ = std::fs::remove_file(path);
-        }
-        let t0 = Instant::now();
-        let report = file.execute_batch(opts).expect("shipped example sweeps");
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(report);
+/// Wall-clock seconds of one full batch sweep (a journal left by an
+/// earlier run is deleted first); the report goes to `out` for the
+/// bit-identity check.
+fn time_batch(
+    file: &CircuitFile,
+    opts: &BatchOpts,
+    out: &mut Option<BatchReport<SweepPoint>>,
+) -> f64 {
+    if let Some(path) = &opts.journal {
+        let _ = std::fs::remove_file(path);
     }
-    (best, last.expect("three timed repetitions ran"))
+    let t0 = Instant::now();
+    let report = file.execute_batch(opts).expect("shipped example sweeps");
+    let elapsed = t0.elapsed().as_secs_f64();
+    *out = Some(report);
+    elapsed
 }
 
 fn main() {
@@ -66,14 +72,23 @@ fn main() {
     };
 
     println!(
-        "# journal overhead on {} ({} events/point, {} thread(s))",
+        "# journal overhead on {} ({} events/point, {} thread(s), {} blocks)",
         path.display(),
         events,
-        threads
+        threads,
+        BLOCKS
     );
 
-    let (t_plain, plain) = time_batch(&file, &plain_opts);
-    let (t_journal, journaled) = time_batch(&file, &journal_opts);
+    let (mut plain, mut journaled) = (None, None);
+    let o = paired_overhead(
+        BLOCKS,
+        || time_batch(&file, &plain_opts, &mut plain),
+        || time_batch(&file, &journal_opts, &mut journaled),
+    );
+    let (plain, journaled) = (
+        plain.expect("a plain run was timed"),
+        journaled.expect("a journaled run was timed"),
+    );
     let bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
     let _ = std::fs::remove_file(&journal);
 
@@ -84,10 +99,11 @@ fn main() {
     );
     println!("bit-identity: OK ({} points)", plain.counts.total());
 
-    let pct = (t_journal - t_plain) / t_plain * 100.0;
     println!(
-        "plain: {:.3e} s   journaled: {:.3e} s   ({} journal bytes)",
-        t_plain, t_journal, bytes
+        "plain: {:.3e} s   journaled: {:.3e} s   ({} journal bytes, medians)",
+        o.plain_s, o.treated_s, bytes
     );
-    println!("journal-overhead-pct: {pct:.2}");
+    let blocks: Vec<String> = o.block_pct.iter().map(|p| format!("{p:.1}")).collect();
+    println!("per-block %: {}", blocks.join(" "));
+    println!("journal-overhead-pct: {:.2}", o.median_pct());
 }

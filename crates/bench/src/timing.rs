@@ -210,6 +210,69 @@ where
     })
 }
 
+/// Relative cost of a treated configuration over a plain one, from
+/// [`paired_overhead`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairedOverhead {
+    /// Overhead of each block in percent, in run order.
+    pub block_pct: Vec<f64>,
+    /// Median plain wall-clock seconds.
+    pub plain_s: f64,
+    /// Median treated wall-clock seconds.
+    pub treated_s: f64,
+}
+
+impl PairedOverhead {
+    /// Median per-block overhead in percent — the gated number.
+    #[must_use]
+    pub fn median_pct(&self) -> f64 {
+        median(&self.block_pct)
+    }
+}
+
+/// Times `blocks` blocks of two interleaved (plain, treated) pairs, the
+/// first pair plain-first and the second treated-first, and keeps each
+/// block's overhead: the geometric mean of its two pairs' treated/plain
+/// ratios. Adjacent runs share slow machine-wide drift (frequency
+/// scaling, co-tenant load); within a block each side runs once first
+/// and once second, so a cost of running second cancels too; the
+/// median over blocks ignores the few blocks a burst of load hits. Each
+/// closure performs one run and returns its wall-clock seconds.
+pub fn paired_overhead(
+    blocks: usize,
+    mut plain: impl FnMut() -> f64,
+    mut treated: impl FnMut() -> f64,
+) -> PairedOverhead {
+    let blocks = blocks.max(1);
+    let mut block_pct = Vec::with_capacity(blocks);
+    let (mut plain_s, mut treated_s) = (Vec::new(), Vec::new());
+    for _ in 0..blocks {
+        let (p1, t1) = (plain(), treated());
+        let (t2, p2) = (treated(), plain());
+        block_pct.push(((t1 / p1) * (t2 / p2)).sqrt() * 100.0 - 100.0);
+        plain_s.extend([p1, p2]);
+        treated_s.extend([t1, t2]);
+    }
+    PairedOverhead {
+        block_pct,
+        plain_s: median(&plain_s),
+        treated_s: median(&treated_s),
+    }
+}
+
+/// Median of a non-empty sample (mean of the middle two for an even
+/// count).
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        0.5 * (v[n / 2 - 1] + v[n / 2])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +296,34 @@ mod tests {
             .wall_for(1.0),
             0.0
         );
+    }
+
+    #[test]
+    fn paired_overhead_cancels_order_and_takes_the_median() {
+        use std::cell::RefCell;
+
+        let order = RefCell::new(String::new());
+        // Plain runs take 1 s and treated runs 1.1 s, but whichever
+        // runs second in a pair takes 5 % longer; one treated run is a
+        // 3 s outlier.
+        let time = |side: char, base: f64| {
+            let mut order = order.borrow_mut();
+            order.push(side);
+            let second = order.len().is_multiple_of(2);
+            if side == 't' && order.len() == 6 {
+                3.0
+            } else if second {
+                base * 1.05
+            } else {
+                base
+            }
+        };
+        let o = paired_overhead(3, || time('p', 1.0), || time('t', 1.1));
+        assert_eq!(order.into_inner(), "pttppttppttp");
+        assert_eq!(o.block_pct.len(), 3);
+        assert!((o.block_pct[0] - 10.0).abs() < 1e-9, "{:?}", o.block_pct);
+        assert!(o.block_pct[1] > 50.0);
+        assert!((o.median_pct() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -686,6 +686,13 @@ fn open_journal<T: JournalItem>(
     Ok((Some(journal), restored))
 }
 
+/// Adaptive trajectory definition 2: island reads are plain loads.
+/// Definition 1 replaced a potential read more than `num_islands`
+/// events after its previous read with a truncated `C⁻¹` row product;
+/// this word makes its journals fail with `JournalMismatch` rather than
+/// restore different numbers. Non-adaptive fingerprints omit it.
+const ADAPTIVE_TRAJECTORY: u32 = 2;
+
 fn fingerprint_config(w: &mut Writer, config: &SimConfig) {
     w.f64(config.temperature);
     match config.solver {
@@ -699,6 +706,7 @@ fn fingerprint_config(w: &mut Writer, config: &SimConfig) {
             refresh_interval,
         } => {
             w.u32(1);
+            w.u32(ADAPTIVE_TRAJECTORY);
             w.f64(threshold);
             w.u64(refresh_interval);
         }
@@ -707,6 +715,7 @@ fn fingerprint_config(w: &mut Writer, config: &SimConfig) {
             refresh_interval,
         } => {
             w.u32(2);
+            w.u32(ADAPTIVE_TRAJECTORY);
             w.f64(threshold);
             w.u64(refresh_interval);
         }
@@ -1378,6 +1387,44 @@ mod tests {
             base,
             sweep_fingerprint(&cfg3, j, &[0.1, 0.2], 10, 100, &policy)
         );
+    }
+
+    #[test]
+    fn fingerprints_pin_the_trajectory_definition() {
+        // Recorded from the binary before adaptive definition 2: the
+        // non-adaptive fingerprint is unchanged, so journals written by
+        // that binary still resume; the adaptive one must differ, so
+        // its journals are refused.
+        let j = JunctionId(0);
+        let policy = RetryPolicy::default();
+        let nonadaptive = SimConfig::new(4.2).with_seed(3);
+        assert_eq!(
+            sweep_fingerprint(&nonadaptive, j, &[0.1, 0.2], 10, 100, &policy),
+            0xb3b0_26cd_a48f_4afd
+        );
+        for (solver, before) in [
+            (
+                SolverSpec::Adaptive {
+                    threshold: 0.05,
+                    refresh_interval: 500,
+                },
+                0x1ecf_2e2a_fa26_73aa,
+            ),
+            (
+                SolverSpec::AdaptiveDense {
+                    threshold: 0.05,
+                    refresh_interval: 500,
+                },
+                0xa99d_1aae_47f3_73ed,
+            ),
+        ] {
+            let adaptive = nonadaptive.clone().with_solver(solver);
+            assert_ne!(
+                sweep_fingerprint(&adaptive, j, &[0.1, 0.2], 10, 100, &policy),
+                before,
+                "{solver:?}"
+            );
+        }
     }
 
     #[test]

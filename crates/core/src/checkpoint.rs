@@ -2,7 +2,7 @@
 //! simulation (hand-rolled codec — the workspace has no serialization
 //! dependency).
 //!
-//! ## Format (version 1)
+//! ## Format (version 2)
 //!
 //! All integers and floats are little-endian; `f64` values are stored
 //! as their IEEE-754 bit patterns, so a round trip is bit-exact.
@@ -23,6 +23,11 @@
 //! (island/lead/junction counts, solver kind) against the snapshot.
 //! Decoding rejects truncated or bit-flipped streams with
 //! [`CoreError::CheckpointCorrupt`](crate::CoreError).
+//!
+//! Version 2 keeps version 1's layout. Version 1 snapshots come from an
+//! adaptive solver that computed some island reads differently, and
+//! resuming one would continue a trajectory neither solver produces, so
+//! they are refused.
 
 use crate::engine::Stimulus;
 use crate::solver::AdaptiveStats;
@@ -32,7 +37,7 @@ use crate::CoreError;
 const MAGIC: &[u8; 8] = b"SEMSIMCP";
 
 /// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A decoded probe snapshot: node index, sampling period, samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -493,6 +498,22 @@ mod tests {
 
         let mut bytes = sample().encode();
         bytes[8] = 99; // version LSB
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&sum);
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(CoreError::CheckpointCorrupt {
+                what: "unsupported version"
+            })
+        ));
+    }
+
+    #[test]
+    fn version_one_is_refused() {
+        let mut bytes = sample().encode();
+        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let body_len = bytes.len() - 8;
         let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&sum);

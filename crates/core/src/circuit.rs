@@ -8,7 +8,7 @@
 //! once; the Monte Carlo solvers then only ever read `C⁻¹` (the paper's
 //! Eq. 2) and the island–lead coupling block.
 
-use semsim_linalg::{Matrix, SparsifiedMatrix};
+use semsim_linalg::Matrix;
 
 use crate::constants::E_CHARGE;
 use crate::CoreError;
@@ -294,11 +294,6 @@ pub struct Circuit {
     cmatrix: Matrix,
     /// Its inverse — the paper's `C⁻¹`.
     cinv: Matrix,
-    /// Row-sparsified view of `C⁻¹` (relative threshold 1e-8): in
-    /// weakly coupled circuits each island feels only its own stage, so
-    /// rows are short and the adaptive solver's exact potential
-    /// refreshes cost O(stage) instead of O(islands).
-    cinv_sparse: SparsifiedMatrix,
     /// Island–lead coupling block (islands × leads).
     cext: Matrix,
     /// `C⁻¹ · C_ext` — potential response of each island to a unit step
@@ -395,13 +390,10 @@ impl Circuit {
         } else {
             Matrix::zeros(0, 0)
         };
-        // The transpose is allocated while the LU factor that `inverse`
-        // just freed is still one n×n block, so it reuses that block; built
-        // after the sparse view's row vectors have split the block, it
-        // grows glibc's heap by a whole matrix instead (+11 MiB peak RSS
-        // at c432).
+        // Allocated right after `inverse` frees its LU factor, the
+        // transpose takes over that n×n block instead of growing the
+        // heap by a whole matrix.
         let cinv_t = cinv.transposed();
-        let cinv_sparse = SparsifiedMatrix::new(&cinv, 1e-8);
         let lead_response = if n_islands > 0 {
             cinv.mul(&cext).expect("shape fixed by construction")
         } else {
@@ -426,7 +418,6 @@ impl Circuit {
             capacitors: b.capacitors,
             cmatrix,
             cinv,
-            cinv_sparse,
             cext,
             lead_response,
             node_junctions,
@@ -590,13 +581,6 @@ impl Circuit {
         &self.cinv
     }
 
-    /// Row-sparsified view of `C⁻¹` (entries below 1e-8 of the row
-    /// diagonal dropped) — the locality structure the adaptive solver
-    /// exploits for exact single-island potential refreshes.
-    pub fn sparse_inverse_capacitance(&self) -> &SparsifiedMatrix {
-        &self.cinv_sparse
-    }
-
     /// The island–lead coupling block `C_ext`.
     pub fn lead_coupling(&self) -> &Matrix {
         &self.cext
@@ -646,10 +630,10 @@ impl Circuit {
 
     /// Relative threshold below which a `C⁻¹` (or lead-response)
     /// coupling is treated as zero when building dependency
-    /// neighbourhoods. Matches the sparsification threshold of
-    /// [`Circuit::sparse_inverse_capacitance`], so a junction outside a
-    /// neighbourhood sees exactly the potential change the sparsified
-    /// exact refresh would give it: none.
+    /// neighbourhoods: the adaptive solver does not test a junction
+    /// whose `ΔW` an event moves by less than this. Potentials are
+    /// never truncated; a skipped junction's rates catch up at the next
+    /// full refresh.
     pub const COUPLING_EPS: f64 = 1e-8;
 
     /// Does junction `j`'s free energy depend (above

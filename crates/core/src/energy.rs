@@ -36,20 +36,13 @@ pub struct CircuitState {
     electrons: Vec<i64>,
     /// Instantaneous lead voltages (V).
     lead_voltages: Vec<f64>,
-    /// Cached island potentials (V), current after every event: both
-    /// solvers add each event's exact delta to every island. They
-    /// differ in when a value is re-derived from the charges instead
-    /// (the non-adaptive solver periodically; the adaptive solver at
-    /// its full refreshes and for an island read after more than
-    /// `num_islands` events unread), so their values differ in
-    /// rounding.
+    /// Cached island potentials (V), exact after every event: both
+    /// solvers add each event's exact delta to every island, and a read
+    /// is a plain load. They differ only in when every value is
+    /// re-derived from the charges with `C⁻¹·q̃` (the non-adaptive
+    /// solver periodically, the adaptive solver at each full refresh),
+    /// so their values differ in rounding.
     pub(crate) phi: Vec<f64>,
-    /// Maintained island charge vector `q̃` (C): updated O(1) per
-    /// transfer, marked dirty on lead steps (which are rare). Lets a
-    /// single island's potential be recomputed in O(islands) without
-    /// accumulating event history.
-    q_tilde: Vec<f64>,
-    q_tilde_dirty: bool,
     /// Reusable buffer for charge-vector assembly — keeps potential
     /// refreshes allocation-free on the event loop's hot path.
     scratch_q: Vec<f64>,
@@ -62,8 +55,6 @@ impl PartialEq for CircuitState {
         self.electrons == other.electrons
             && self.lead_voltages == other.lead_voltages
             && self.phi == other.phi
-            && self.q_tilde == other.q_tilde
-            && self.q_tilde_dirty == other.q_tilde_dirty
     }
 }
 
@@ -72,16 +63,12 @@ impl CircuitState {
     /// biases, potentials unset (call
     /// [`CircuitState::recompute_potentials`]).
     pub fn new(circuit: &Circuit) -> Self {
-        let mut state = CircuitState {
+        CircuitState {
             electrons: vec![0; circuit.num_islands()],
             lead_voltages: circuit.initial_lead_voltages().to_vec(),
             phi: vec![0.0; circuit.num_islands()],
-            q_tilde: Vec::new(),
-            q_tilde_dirty: false,
             scratch_q: Vec::with_capacity(circuit.num_islands()),
-        };
-        state.q_tilde = state.charge_vector(circuit);
-        state
+        }
     }
 
     /// Excess electrons per island.
@@ -100,26 +87,7 @@ impl CircuitState {
     ///
     /// Panics if `lead` is out of range.
     pub fn set_lead_voltage(&mut self, lead: usize, v: f64) -> f64 {
-        // q̃ depends on the circuit's coupling block, which this type
-        // does not own here; mark the cache dirty (lead steps are rare).
-        self.q_tilde_dirty = true;
         std::mem::replace(&mut self.lead_voltages[lead], v)
-    }
-
-    /// Exact potential of one island from the maintained charge vector:
-    /// `φ_k = (C⁻¹)_k · q̃` over the sparsified row — O(stage) in weakly
-    /// coupled circuits, independent of how much event history the
-    /// caller skipped.
-    pub fn exact_island_potential(&mut self, circuit: &Circuit, island: usize) -> f64 {
-        if self.q_tilde_dirty {
-            let mut q = std::mem::take(&mut self.q_tilde);
-            fill_charge_vector(circuit, &self.electrons, &self.lead_voltages, &mut q);
-            self.q_tilde = q;
-            self.q_tilde_dirty = false;
-        }
-        circuit
-            .sparse_inverse_capacitance()
-            .row_dot(island, &self.q_tilde)
     }
 
     /// The island charge vector `q̃` (C): `−e·n + q₀ + C_ext·V`.
@@ -160,20 +128,9 @@ impl CircuitState {
         &self.phi
     }
 
-    /// Rebuilds the maintained q̃ cache from scratch. Incremental q̃
-    /// updates are exact only up to floating-point association order;
-    /// checkpoint/resume rebuilds the cache on *both* sides so their
-    /// subsequent potential refreshes agree bit-for-bit.
-    pub(crate) fn rebuild_charge_cache(&mut self, circuit: &Circuit) {
-        let mut q = std::mem::take(&mut self.q_tilde);
-        fill_charge_vector(circuit, &self.electrons, &self.lead_voltages, &mut q);
-        self.q_tilde = q;
-        self.q_tilde_dirty = false;
-    }
-
     /// Overwrites the dynamic state from a checkpoint: electron numbers
-    /// and lead voltages are replaced, q̃ is rebuilt from scratch, and
-    /// potentials are left for the caller to recompute.
+    /// and lead voltages are replaced, and potentials are left for the
+    /// caller to recompute.
     pub(crate) fn restore(
         &mut self,
         circuit: &Circuit,
@@ -184,19 +141,16 @@ impl CircuitState {
         debug_assert_eq!(lead_voltages.len(), circuit.num_leads());
         self.electrons = electrons;
         self.lead_voltages = lead_voltages;
-        self.rebuild_charge_cache(circuit);
     }
 
     /// Moves `count` electrons from `from` to `to` (island electron
-    /// numbers and q̃ only; potentials are the solver's responsibility).
+    /// numbers only; potentials are the solver's responsibility).
     pub fn apply_transfer(&mut self, circuit: &Circuit, from: NodeId, to: NodeId, count: i64) {
         if let Some(i) = circuit.island_index(from) {
             self.electrons[i] -= count;
-            self.q_tilde[i] += count as f64 * E_CHARGE;
         }
         if let Some(i) = circuit.island_index(to) {
             self.electrons[i] += count;
-            self.q_tilde[i] -= count as f64 * E_CHARGE;
         }
     }
 }

@@ -591,20 +591,21 @@ impl<'c> Simulation<'c> {
         self.event_log.as_ref()
     }
 
-    /// Exact potential (V) of any node right now, read through the
-    /// solver (see [`Solver::ensure_island_potential`]).
+    /// Potential (V) of any node right now: the lead voltage, or the
+    /// island's cached potential, which both solvers keep exact after
+    /// every event. The same value [`CircuitState::island_potentials`]
+    /// holds.
     ///
     /// # Errors
     ///
-    /// [`CoreError::NumericalFault`] if the refreshed potential is
-    /// non-finite.
-    pub fn node_potential(&mut self, node: NodeId) -> Result<f64, CoreError> {
+    /// [`CoreError::NumericalFault`] (stage `IslandPotential`) if the
+    /// island's potential is non-finite.
+    pub fn node_potential(&self, node: NodeId) -> Result<f64, CoreError> {
+        let v = self.state.potential(self.circuit, node);
         if let Some(island) = self.circuit.island_index(node) {
-            let ctx = solver_ctx!(self);
-            self.solver
-                .ensure_island_potential(&ctx, &mut self.state, island)?;
+            screen_finite(FaultStage::IslandPotential, Some(island), v)?;
         }
-        Ok(self.state.potential(self.circuit, node))
+        Ok(v)
     }
 
     /// Recomputes cotunneling and Cooper-pair rates non-adaptively (the
@@ -614,17 +615,8 @@ impl<'c> Simulation<'c> {
         if self.cot_paths.is_empty() && self.super_info.is_none() {
             return Ok(());
         }
-        // Read every involved island through the solver, which applies
-        // the adaptive stale-island rule and screens the potential.
-        let ctx = solver_ctx!(self);
         for p in 0..self.cot_paths.len() {
             let path = self.cot_paths[p];
-            for node in [path.from, path.via, path.to] {
-                if let Some(i) = self.circuit.island_index(node) {
-                    self.solver
-                        .ensure_island_potential(&ctx, &mut self.state, i)?;
-                }
-            }
             let g = path_rate(self.circuit, &self.state, &path, self.kt);
             self.rates.set(
                 self.layout.cotunnel_slot(p),
@@ -634,12 +626,6 @@ impl<'c> Simulation<'c> {
         if let Some(info) = &self.super_info {
             for j in self.circuit.junction_ids() {
                 let junction = *self.circuit.junction(j);
-                for node in [junction.node_a, junction.node_b] {
-                    if let Some(i) = self.circuit.island_index(node) {
-                        self.solver
-                            .ensure_island_potential(&ctx, &mut self.state, i)?;
-                    }
-                }
                 let ej = info.ej[j.index()];
                 let gamma = info.gamma[j.index()];
                 let jx = Some(j.index());
@@ -819,7 +805,6 @@ impl<'c> Simulation<'c> {
     /// the invariant checkpoint/resume bit-identity rests on.
     fn resync_rates(&mut self) -> Result<(), CoreError> {
         self.rates.clear();
-        self.state.rebuild_charge_cache(self.circuit);
         let ctx = solver_ctx!(self);
         self.solver.resync(&ctx, &mut self.state, &mut self.rates)?;
         self.refresh_secondary_rates()?;
@@ -1559,6 +1544,37 @@ mod tests {
         sim.set_lead_voltage(2, -25e-3).unwrap();
         let r = sim.run(RunLength::Events(500)).unwrap();
         assert!(!r.probes[0].samples().is_empty());
+    }
+
+    #[test]
+    fn non_finite_probed_potential_is_refused_on_read() {
+        let (c, _, _) = paper_set();
+        let cfg = SimConfig::new(5.0)
+            .with_seed(6)
+            .with_solver(SolverSpec::Adaptive {
+                threshold: 0.05,
+                refresh_interval: 1000,
+            });
+        let mut sim = Simulation::new(&c, cfg).unwrap();
+        let island = c.island_node(0);
+        sim.add_probe(island, 1);
+        sim.set_lead_voltage(1, 25e-3).unwrap();
+        sim.set_lead_voltage(2, -25e-3).unwrap();
+        sim.run(RunLength::Events(50)).unwrap();
+        assert_eq!(
+            sim.node_potential(island).unwrap().to_bits(),
+            sim.state().island_potentials()[0].to_bits()
+        );
+        sim.state.phi[0] = f64::NAN;
+        assert!(matches!(
+            sim.node_potential(island),
+            Err(CoreError::NumericalFault {
+                stage: FaultStage::IslandPotential,
+                junction: Some(0),
+                ..
+            })
+        ));
+        assert_eq!(sim.node_potential(NodeId::GROUND).unwrap(), 0.0);
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub enum FaultStage {
     CotunnelRate,
     /// A Cooper-pair tunneling rate.
     CooperPairRate,
-    /// An island potential refresh.
+    /// An island potential: recomputed by a full refresh or drift
+    /// audit, or read through `Simulation::node_potential`.
     IslandPotential,
     /// The summed total rate of the event table.
     RateTotal,

@@ -14,8 +14,8 @@
 //!
 //! - [`ResourceEstimate::predict`] is the admission-time model: a pure
 //!   function of `(islands, leads, junctions)`. Its dense matrix terms
-//!   are exact; the sparse/neighbourhood terms use a degree-based
-//!   locality model capped at the dense assumption, so small
+//!   are exact; the neighbourhood terms use a degree-based locality
+//!   model capped at the dense assumption, so small
 //!   strongly-coupled circuits are exact and large sparse ones (logic
 //!   arrays) are not wildly over-priced.
 //! - [`ResourceEstimate::measured`] walks a built [`Circuit`] and sums
@@ -36,8 +36,6 @@ use crate::error::CoreError;
 const F64: u64 = 8;
 /// Bytes of one `Vec<T>` header (ptr + len + cap on 64-bit targets).
 const VEC_HEADER: u64 = 24;
-/// Bytes of one sparsified-matrix entry (column index + value).
-const SPARSE_ENTRY: u64 = 16;
 /// Flat allowance for the journal's per-append encode buffer plus the
 /// 48-byte header: one record is length frame + body (task index,
 /// status, attempts, item payload) + checksum, re-encoded per append
@@ -58,8 +56,6 @@ pub struct ResourceEstimate {
     pub dense_matrix_bytes: u64,
     /// `C_ext` + lead-response: two dense `islands × leads` matrices.
     pub coupling_bytes: u64,
-    /// Row-sparsified `C⁻¹` view (entries + per-row headers).
-    pub sparse_bytes: u64,
     /// The three precomputed incidence/dependency tables.
     pub neighborhood_bytes: u64,
     /// Hot-loop kernel buffers: the transposed `C⁻¹` and lead-response
@@ -73,8 +69,8 @@ pub struct ResourceEstimate {
 
 impl ResourceEstimate {
     /// Predicts the footprint from counts alone. The dense matrix
-    /// blocks are exact (they depend only on the counts). The sparse
-    /// and neighborhood structures use a degree-based locality model —
+    /// blocks are exact (they depend only on the counts). The
+    /// neighborhood tables use a degree-based locality model —
     /// the same locality the paper's adaptive solver exploits: a
     /// junction's coupling neighbourhood scales with the average node
     /// degree `2·junctions/(islands+leads)`, not with the circuit
@@ -96,12 +92,6 @@ impl ResourceEstimate {
         let denom = i.saturating_add(l).max(1);
         let degree3 = 6u64.saturating_mul(j).saturating_add(denom - 1) / denom;
         let n_eff = j.min(degree3.max(1));
-        // Sparsified C⁻¹ rows keep entries above the coupling
-        // threshold: about 3·n_eff per island row, capped at dense.
-        let nnz = i.saturating_mul(i.min(3u64.saturating_mul(n_eff)));
-        let sparse_bytes = nnz
-            .saturating_mul(SPARSE_ENTRY)
-            .saturating_add(i.saturating_mul(VEC_HEADER));
         // Per table (locality model, dense-capped):
         //   node_junctions    (islands+leads rows, 2·junctions total
         //                      — each junction sits at two nodes)
@@ -122,7 +112,6 @@ impl ResourceEstimate {
             junctions: j,
             dense_matrix_bytes,
             coupling_bytes,
-            sparse_bytes,
             neighborhood_bytes,
             kernel_bytes: kernel_soa_bytes(i, l, j),
             journal_buffer_bytes: JOURNAL_BUFFER,
@@ -140,9 +129,6 @@ impl ResourceEstimate {
         let dense_matrix_bytes =
             mat(circuit.capacitance_matrix()) + mat(circuit.inverse_capacitance());
         let coupling_bytes = mat(circuit.lead_coupling()) + mat(circuit.lead_response());
-        let sparse = circuit.sparse_inverse_capacitance();
-        let sparse_bytes =
-            (sparse.nnz() as u64) * SPARSE_ENTRY + (sparse.rows() as u64) * VEC_HEADER;
         let mut rows = 0u64;
         let mut entries = 0u64;
         let mut table = |len: usize| {
@@ -176,7 +162,6 @@ impl ResourceEstimate {
             junctions,
             dense_matrix_bytes,
             coupling_bytes,
-            sparse_bytes,
             neighborhood_bytes,
             kernel_bytes,
             journal_buffer_bytes: JOURNAL_BUFFER,
@@ -188,7 +173,6 @@ impl ResourceEstimate {
     pub fn total_bytes(&self) -> u64 {
         self.dense_matrix_bytes
             .saturating_add(self.coupling_bytes)
-            .saturating_add(self.sparse_bytes)
             .saturating_add(self.neighborhood_bytes)
             .saturating_add(self.kernel_bytes)
             .saturating_add(self.journal_buffer_bytes)
@@ -209,11 +193,10 @@ impl ResourceEstimate {
     #[must_use]
     pub fn breakdown(&self) -> String {
         format!(
-            "C and C⁻¹ {}, lead coupling {}, sparse C⁻¹ {}, \
-             neighborhood tables {}, kernel SoA {}, journal buffer {}",
+            "C and C⁻¹ {}, lead coupling {}, neighborhood tables {}, \
+             kernel SoA {}, journal buffer {}",
             fmt_bytes(self.dense_matrix_bytes),
             fmt_bytes(self.coupling_bytes),
-            fmt_bytes(self.sparse_bytes),
             fmt_bytes(self.neighborhood_bytes),
             fmt_bytes(self.kernel_bytes),
             fmt_bytes(self.journal_buffer_bytes),

@@ -7,14 +7,13 @@
 //! recomputed only when `|b|` exceeds the threshold `θ` times the
 //! free-energy changes recorded at the last recomputation (`ΔW'_fw`,
 //! `ΔW'_bw`). The neighbourhoods — precomputed at circuit build from
-//! the sparsified `C⁻¹` coupling structure — contain every junction
-//! whose `ΔW` moves by more than [`Circuit::COUPLING_EPS`] (relative)
-//! for the event, so a strongly coupled region is fully updated while
-//! isolated stages are left alone — the source of the paper's
-//! up-to-40× speedup. Junctions outside a neighbourhood feel only
-//! couplings below the same threshold the sparsified exact potential
-//! refresh already drops, so skipping them adds no new approximation
-//! class.
+//! the `C⁻¹` coupling structure — contain every junction whose `ΔW`
+//! moves by more than [`Circuit::COUPLING_EPS`] (relative) for the
+//! event, so a strongly coupled region is fully updated while isolated
+//! stages are left alone — the source of the paper's up-to-40×
+//! speedup. A junction outside a neighbourhood is simply not tested;
+//! the coupling it misses is below that threshold and is picked up at
+//! the next full refresh.
 //!
 //! The optimized path runs the batched kernels of `crate::kernels` over
 //! flat structure-of-arrays junction buffers. A `dense_reference` mode
@@ -28,21 +27,17 @@
 //! per-event potential deltas are exact. Every state change adds its
 //! delta to every island's cached potential at once
 //! (`kernels::potential_update`: one or two contiguous `C⁻¹` columns
-//! per transfer, one lead-response column per lead step), so the
-//! potentials used to recompute a flagged junction's rates are always
-//! current; the approximation — identical to the paper's — is that
+//! per transfer, one lead-response column per lead step), so every
+//! cached potential is current after every event and a read is a plain
+//! load. The approximation — identical to the paper's — is that
 //! *unflagged* junctions keep stale rates. Because the skipped error
 //! accumulates in `b₀` only for junctions that keep being tested
 //! (distant junctions are not even tested), all rates are additionally
 //! recomputed every `refresh_interval` events, as the paper prescribes.
-//!
-//! One rule depends on when an island is read: an island read
-//! more than `num_islands` events after its previous read (or after the
-//! last full refresh or resync) takes its potential from the maintained
-//! charge vector (`CircuitState::exact_island_potential`) instead of its
-//! accumulated deltas. Both values are exact up to rounding, but they
-//! round differently, so the rule is part of the trajectory's
-//! definition: removing it changes trajectory bits.
+//! That full refresh is the solver's one re-derivation path: it
+//! recomputes every potential with the exact `C⁻¹·q̃` product, screens
+//! them, and rewrites every rate. Initialization and resync run the
+//! same path.
 
 use crate::circuit::{Circuit, JunctionId, NodeId};
 use crate::energy::{lead_step_delta, potential_delta, CircuitState};
@@ -80,10 +75,7 @@ pub struct AdaptiveSolver {
     dw_bw: Vec<f64>,
     /// Accumulated testing factor `b₀` per junction.
     b0: Vec<f64>,
-    /// Per-island event stamp: `events_since_refresh` at the island's
-    /// last read ([`AdaptiveSolver::refresh_island`]).
-    applied: Vec<u64>,
-    /// State changes since the last full refresh or resync.
+    /// State changes since the last full refresh.
     events_since_refresh: u64,
     stats: AdaptiveStats,
     /// Reference mode: evaluate dependency membership from the dense
@@ -118,7 +110,6 @@ impl AdaptiveSolver {
             dw_fw: vec![0.0; nj],
             dw_bw: vec![0.0; nj],
             b0: vec![0.0; nj],
-            applied: vec![0; circuit.num_islands()],
             events_since_refresh: 0,
             stats: AdaptiveStats::default(),
             dense_reference: false,
@@ -156,86 +147,39 @@ impl AdaptiveSolver {
         &self.stats
     }
 
-    /// Readies `island`'s cached potential for a read. Potentials are
-    /// updated eagerly, so this only applies the stale-island rule: an
-    /// island last read more than `num_islands` events ago takes
-    /// [`CircuitState::exact_island_potential`] instead of its
-    /// accumulated deltas. A potential that moved since its last read
-    /// is screened for non-finite values.
-    pub(crate) fn refresh_island(
-        &mut self,
-        circuit: &Circuit,
-        state: &mut CircuitState,
-        island: usize,
-    ) -> Result<(), CoreError> {
-        let pending = self.events_since_refresh - self.applied[island];
-        if pending == 0 {
-            return Ok(());
-        }
-        if pending > circuit.num_islands() as u64 {
-            state.phi[island] = state.exact_island_potential(circuit, island);
-        }
-        self.applied[island] = self.events_since_refresh;
-        screen_finite(FaultStage::IslandPotential, Some(island), state.phi[island])?;
-        Ok(())
-    }
-
-    fn refresh_junction_nodes(
-        &mut self,
-        circuit: &Circuit,
-        state: &mut CircuitState,
-        j: JunctionId,
-    ) -> Result<(), CoreError> {
-        let junction = *circuit.junction(j);
-        if let Some(i) = circuit.island_index(junction.node_a) {
-            self.refresh_island(circuit, state, i)?;
-        }
-        if let Some(i) = circuit.island_index(junction.node_b) {
-            self.refresh_island(circuit, state, i)?;
-        }
-        Ok(())
-    }
-
+    /// Computes every potential and rate from scratch. The rate table
+    /// is freshly zeroed at construction, so the rewrite may use the
+    /// from-zero batched Fenwick rebuild.
     pub(crate) fn initialize(
         &mut self,
         ctx: &SolverContext<'_>,
         state: &mut CircuitState,
         rates: &mut FenwickTree,
     ) -> Result<(), CoreError> {
-        // Establish the exact-potential invariant the eager updates
-        // maintain from here on.
-        state.recompute_potentials(ctx.circuit);
-        // The rate table is freshly zeroed at construction, so the
-        // initial rewrite may use the from-zero batched Fenwick
-        // rebuild.
         self.full_refresh(ctx, state, rates, true)?;
         // initialize() is not a "refresh" in the statistics sense.
         self.stats.full_refreshes = self.stats.full_refreshes.saturating_sub(1);
         Ok(())
     }
 
-    fn full_refresh(
+    /// The one re-derivation path, for periodic refreshes, resyncs and
+    /// initialization: recomputes every potential with the exact
+    /// `C⁻¹·q̃` product (never the accumulated deltas, whose rounding
+    /// depends on history — checkpoint/resume relies on both sides
+    /// reaching bit-identical potentials), screens them, and rewrites
+    /// every rate. `rates_from_zero` as for
+    /// [`AdaptiveSolver::rewrite_all_rates`].
+    pub(crate) fn full_refresh(
         &mut self,
         ctx: &SolverContext<'_>,
         state: &mut CircuitState,
         rates: &mut FenwickTree,
         rates_from_zero: bool,
     ) -> Result<(), CoreError> {
-        let circuit = ctx.circuit;
-        // Fewer events than islands since the last refresh: no island
-        // can be stale, so keep the eagerly updated potentials (each
-        // read once, i.e. screened). Otherwise re-derive every potential
-        // with the exact matvec. Which branch runs decides the rounding
-        // each island carries forward, so the split is part of the
-        // trajectory's definition.
-        if self.events_since_refresh < circuit.num_islands() as u64 {
-            for island in 0..circuit.num_islands() {
-                self.refresh_island(circuit, state, island)?;
-            }
-        } else {
-            state.recompute_potentials(circuit);
+        state.recompute_potentials(ctx.circuit);
+        for (island, &phi) in state.island_potentials().iter().enumerate() {
+            screen_finite(FaultStage::IslandPotential, Some(island), phi)?;
         }
-        self.applied.iter_mut().for_each(|a| *a = 0);
         self.rewrite_all_rates(ctx, state, rates, rates_from_zero)?;
         self.stats.full_refreshes += 1;
         self.events_since_refresh = 0;
@@ -321,26 +265,6 @@ impl AdaptiveSolver {
         self.gfw_scratch = gfw;
         self.gbw_scratch = gbw;
         self.stats.rate_recalcs += circuit.num_junctions() as u64;
-        Ok(())
-    }
-
-    /// Discards every cache, recomputing potentials with the full matvec
-    /// (never the accumulated deltas — checkpoint/resume relies on both
-    /// sides reaching bit-identical potentials, and the accumulated
-    /// deltas' rounding depends on history).
-    pub(crate) fn resync(
-        &mut self,
-        ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
-        rates: &mut FenwickTree,
-    ) -> Result<(), CoreError> {
-        state.recompute_potentials(ctx.circuit);
-        self.applied.iter_mut().for_each(|a| *a = 0);
-        // The rate table may hold pre-resync values — overwrite
-        // incrementally, never the from-zero rebuild.
-        self.rewrite_all_rates(ctx, state, rates, false)?;
-        self.stats.full_refreshes += 1;
-        self.events_since_refresh = 0;
         Ok(())
     }
 
@@ -516,7 +440,7 @@ impl AdaptiveSolver {
     fn process_tested(
         &mut self,
         ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
+        state: &CircuitState,
         rates: &mut FenwickTree,
         change: StateChange,
         tested: Vec<JunctionId>,
@@ -535,7 +459,6 @@ impl AdaptiveSolver {
             &mut flagged,
         );
         for &j in &flagged {
-            self.refresh_junction_nodes(ctx.circuit, state, j)?;
             let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
             let idx = j.index();
             self.dw_fw[idx] = dw_fw;
@@ -554,7 +477,7 @@ impl AdaptiveSolver {
     fn test_junction(
         &mut self,
         ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
+        state: &CircuitState,
         rates: &mut FenwickTree,
         change: StateChange,
         j: JunctionId,
@@ -573,7 +496,6 @@ impl AdaptiveSolver {
         // compare against the smaller magnitude.
         let gate = self.threshold * self.dw_fw[idx].abs().min(self.dw_bw[idx].abs());
         if b.abs() >= gate {
-            self.refresh_junction_nodes(circuit, state, j)?;
             let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
             self.dw_fw[idx] = dw_fw;
             self.dw_bw[idx] = dw_bw;
@@ -633,7 +555,7 @@ mod tests {
 
     #[test]
     fn zero_threshold_matches_nonadaptive_exactly() {
-        // θ = 0 flags every tested junction; combined with the BFS
+        // θ = 0 flags every tested junction; combined with neighbourhoods
         // reaching everything coupled, rates must equal the exact ones.
         let (c, _js) = two_stage();
         let model = TunnelModel::Normal;
@@ -730,9 +652,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(solver.stats().full_refreshes, 2);
-        // The second refresh restarted every island's event stamp.
         assert_eq!(solver.events_since_refresh, 0);
-        assert!(solver.applied.iter().all(|&a| a == 0));
     }
 
     #[test]
@@ -812,34 +732,42 @@ mod tests {
     }
 
     #[test]
-    fn island_unread_for_more_than_num_islands_events_takes_exact_potential() {
+    fn non_finite_potential_is_caught_before_the_rate_table() {
+        // With θ = 0 every tested junction is recomputed, so a poisoned
+        // potential on the event's island reaches a flagged junction's
+        // ΔW screen, which must refuse it before any rate is written.
         let (c, _js) = two_stage();
-        let n = c.num_islands();
         let model = TunnelModel::Normal;
-        let (mut state, mut rates, mut solver, layout) = make_parts(&c, 10.0, u64::MAX);
+        let (mut state, mut rates, mut solver, layout) = make_parts(&c, 0.0, u64::MAX);
         let ctx = SolverContext::new(&c, K_B * 5.0, &model, layout);
         solver.initialize(&ctx, &mut state, &mut rates).unwrap();
 
-        // Exactly `n` events since the last refresh: not stale, the
-        // read keeps the accumulated value (here deliberately offset,
-        // so a recompute would show).
-        feed_transfers(&c, &ctx, &mut state, &mut rates, &mut solver, n);
-        state.phi[0] += 1.0;
-        let kept = state.phi[0];
-        solver.refresh_island(&c, &mut state, 0).unwrap();
-        assert_eq!(state.phi[0].to_bits(), kept.to_bits());
-
-        // One more: island 1 is now `n + 1` events behind and takes the
-        // charge-vector product, discarding its offset; island 0, read
-        // one event ago, keeps its value.
-        feed_transfers(&c, &ctx, &mut state, &mut rates, &mut solver, 1);
-        state.phi[1] += 1.0;
-        let exact = state.clone().exact_island_potential(&c, 1);
-        solver.refresh_island(&c, &mut state, 1).unwrap();
-        assert_eq!(state.phi[1].to_bits(), exact.to_bits());
-        let kept = state.phi[0];
-        solver.refresh_island(&c, &mut state, 0).unwrap();
-        assert_eq!(state.phi[0].to_bits(), kept.to_bits());
-        assert!((state.phi[0] - 1.0 - state.clone().exact_island_potential(&c, 0)).abs() < 1e-12);
+        let i1 = c.island_node(0);
+        state.phi[0] = f64::NAN;
+        state.apply_transfer(&c, NodeId(1), i1, 1);
+        let err = solver
+            .apply_change(
+                &ctx,
+                &mut state,
+                &mut rates,
+                StateChange::Transfer {
+                    from: NodeId(1),
+                    to: i1,
+                    count: 1,
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::NumericalFault {
+                    stage: FaultStage::FreeEnergy,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!((0..layout.len()).all(|slot| rates.get(slot).is_finite()));
+        assert!(rates.total().is_finite());
     }
 }

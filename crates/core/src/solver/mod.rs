@@ -165,24 +165,6 @@ impl Solver {
         }
     }
 
-    /// Readies `state`'s cached potential of `island` for a read. Both
-    /// solvers keep every potential current after each event; the
-    /// adaptive solver applies its stale-island rule here (an island
-    /// unread for more than `num_islands` events takes its potential
-    /// from the charge vector) and screens the value for non-finite
-    /// numbers.
-    pub fn ensure_island_potential(
-        &mut self,
-        ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
-        island: usize,
-    ) -> Result<(), CoreError> {
-        match self {
-            Solver::NonAdaptive(_) => Ok(()), // always exact
-            Solver::Adaptive(s) => s.refresh_island(ctx.circuit, state, island),
-        }
-    }
-
     /// Discards every cached quantity and rebuilds potentials and the
     /// whole rate table from the electron numbers, writing rates in
     /// canonical junction order. The caller must clear the rate table
@@ -196,7 +178,9 @@ impl Solver {
     ) -> Result<(), CoreError> {
         match self {
             Solver::NonAdaptive(s) => s.resync(ctx, state, rates),
-            Solver::Adaptive(s) => s.resync(ctx, state, rates),
+            // The table may hold pre-resync values: overwrite
+            // incrementally, never with the from-zero rebuild.
+            Solver::Adaptive(s) => s.full_refresh(ctx, state, rates, false),
         }
     }
 

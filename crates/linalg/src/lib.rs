@@ -7,10 +7,8 @@
 //! a few neighbours, so the factor has a narrow profile, and
 //! [`LuDecomposition::inverse`] sums over the factor's nonzeros only: an
 //! `O(n² + n·nnz(LU))` inverse that is bitwise the same as `n` dense
-//! solves. The inverse itself is dense and stored dense. On top of it we
-//! provide a [`SparsifiedMatrix`] view that drops negligible entries per
-//! row — the adaptive solver uses it to bound the cost of locality
-//! queries.
+//! solves. The inverse itself is dense and stored dense; the simulator
+//! reads it whole, with no truncated view.
 //!
 //! # Example
 //!
@@ -32,11 +30,9 @@
 mod error;
 mod lu;
 mod matrix;
-mod sparse;
 mod vector;
 
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use sparse::{SparseEntry, SparsifiedMatrix};
 pub use vector::{axpy, dot, norm_inf, norm_two};

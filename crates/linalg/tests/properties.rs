@@ -1,7 +1,7 @@
 //! Property-style tests of the linear-algebra substrate: plain seeded
 //! loops over randomly generated inputs (no external test framework).
 
-use semsim_linalg::{Matrix, SparsifiedMatrix};
+use semsim_linalg::Matrix;
 
 /// Minimal SplitMix64 generator for test-input generation.
 struct TestRng(u64);
@@ -86,23 +86,6 @@ fn determinant_of_product() {
             "case {case}: {dp} vs {}",
             d1 * d2
         );
-    }
-}
-
-#[test]
-fn sparsified_row_dot_matches_dense() {
-    let mut rng = TestRng(4);
-    for case in 0..CASES {
-        let m = random_spd(&mut rng, 6);
-        let x: Vec<f64> = (0..6).map(|_| rng.uniform(-2.0, 2.0)).collect();
-        let s = SparsifiedMatrix::new(&m, 0.0);
-        for r in 0..6 {
-            let dense = semsim_linalg::dot(m.row(r), &x);
-            assert!(
-                (s.row_dot(r, &x) - dense).abs() < 1e-10 * dense.abs().max(1.0),
-                "case {case} row {r}"
-            );
-        }
     }
 }
 

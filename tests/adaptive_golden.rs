@@ -4,23 +4,20 @@
 //! the optimized solver against `SolverSpec::AdaptiveDense`, or a
 //! straight run against a resumed one. A change that moves both sides
 //! the same way passes them. This test pins the trajectory itself, with
-//! expected values recorded from the lazy replay-log solver that
-//! preceded eager potential updates. Any change to a single bit of an
-//! adaptive trajectory fails here and has to re-record the values on
-//! purpose.
+//! expected values recorded from the eager-potential solver whose
+//! island reads are plain loads and whose every full refresh
+//! recomputes all potentials with the `C⁻¹·q̃` product. Any change to a
+//! single bit of an adaptive trajectory fails here and has to re-record
+//! the values on purpose.
 //!
 //! The workload is 74LS153 (168 islands) under the adaptive solver at
 //! θ = 0.05, with every input high, input `i0` pulled low mid-run, the
 //! delay output probed on every event, and every island's potential
 //! read back through `Simulation::node_potential` at the end. Two
-//! refresh intervals cover both branches of the periodic full refresh:
-//!
-//! * 1000 events exceed the island count, so the refresh recomputes
-//!   every potential with the full `C⁻¹·q̃` product, and an island read
-//!   more than 168 events after its previous read takes its potential
-//!   from the charge vector instead of its accumulated updates;
-//! * 100 events stay below it, so the refresh keeps the accumulated
-//!   potentials.
+//! refresh intervals are pinned: 1000 events, above the island count,
+//! and 100 events, below it. Both run the same refresh path; they
+//! differ in how long the accumulated per-event deltas carry each
+//! potential's rounding between recomputes.
 //!
 //! Only public results and `node_potential` reads are digested, never
 //! the raw cached potentials of `CircuitState`.
@@ -114,9 +111,9 @@ fn ls153_adaptive_trajectories_match_recorded_bits() {
             1_000,
             Golden {
                 events: 10_000,
-                time_bits: 0x3e90_2421_b95b_56c2,
-                counts: 0x894e_1e95_c155_219c,
-                probe: 0xf432_74ae_23f1_aebf,
+                time_bits: 0x3e90_2421_bc23_8cd5,
+                counts: 0xc236_baab_bf42_448a,
+                probe: 0x8c0f_feef_efea_ef75,
                 potentials: 0x88be_8629_12aa_e665,
                 stats: AdaptiveStats {
                     events: 10_011,
@@ -130,10 +127,10 @@ fn ls153_adaptive_trajectories_match_recorded_bits() {
             100,
             Golden {
                 events: 10_000,
-                time_bits: 0x3e8f_9933_b7f6_b9c6,
-                counts: 0x44fb_2b8c_4a8c_0011,
-                probe: 0x1651_043c_2a73_d599,
-                potentials: 0x44b2_d5e1_f49c_7a44,
+                time_bits: 0x3e8f_9933_b7f6_ba16,
+                counts: 0x54be_3bec_6317_ba93,
+                probe: 0xd4e0_cc02_ac80_5079,
+                potentials: 0x7864_7619_8e51_348e,
                 stats: AdaptiveStats {
                     events: 10_011,
                     junctions_tested: 561_577,
