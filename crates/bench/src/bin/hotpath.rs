@@ -12,7 +12,7 @@
 //! written to `results/BENCH_hotpath.json`, and the final stdout line
 //! `hotpath-speedup-largest: X.XX` is the CI gate quantity: the
 //! optimized-over-dense events/sec ratio on the largest measured
-//! benchmark, expected ≥ 6.
+//! benchmark, expected ≥ 12.
 //!
 //! The harness also re-asserts sweep bit-identity on the Fig. 1 SET:
 //! a serial I–V sweep under the optimized solver must match the

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use semsim_check::{parse_json, Json};
+use semsim_check::{json_escape, parse_json, Json};
 
 use crate::scenario::{Campaign, Fault, Scenario};
 use crate::{campaign, serve_chaos, ChaosOpts, ChaosReport};
@@ -78,24 +78,6 @@ fn minimize(c: &Campaign, scratch: &Path) -> (Campaign, String) {
         },
         reason,
     )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serializes a (minimized) violating campaign as a replayable repro.

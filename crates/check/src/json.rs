@@ -53,7 +53,10 @@ pub struct JsonFileReport<'a> {
     pub parse_error: Option<(usize, String)>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Escapes a string for inclusion in a JSON string literal.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -67,13 +70,14 @@ fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":\"");
-    escape_into(out, value);
+    out.push_str(&json_escape(value));
     out.push('"');
 }
 
@@ -151,7 +155,7 @@ pub fn report_to_json(files: &[JsonFileReport<'_>]) -> String {
                         None => out.push_str("null"),
                         Some(text) => {
                             out.push('"');
-                            escape_into(&mut out, text);
+                            out.push_str(&json_escape(text));
                             out.push('"');
                         }
                     }

@@ -73,6 +73,6 @@ pub use ir::{
     AdaptiveInfo, CircuitModel, LogicModel, ModelEdge, ModelNode, ProbeInfo, StimulusInfo,
     SweepInfo,
 };
-pub use json::{parse_json, report_to_json, validate_report, Json, JsonFileReport};
+pub use json::{json_escape, parse_json, report_to_json, validate_report, Json, JsonFileReport};
 pub use logic::check_logic;
 pub use reach::{COUPLING_EPS, THETA_KT_LIMIT};

@@ -23,7 +23,7 @@
 //!    - otherwise the point is **reseeded**
 //!      (`split_seed(split_seed(master, task), attempt)`, a stream no
 //!      other point or attempt draws) with the adaptive threshold θ
-//!      tightened by [`RetryPolicy::tighten_factor`] per retry
+//!      tightened by [`RetryPolicy::TIGHTEN_FACTOR`] per retry
 //!      ([`RecoveryAction::ReseedTightened`]);
 //!    - the final attempt may drop to the non-adaptive reference solver
 //!      ([`RecoveryAction::SolverFallback`]) when
@@ -73,10 +73,6 @@ use crate::CoreError;
 pub struct RetryPolicy {
     /// Retries after the initial attempt (0 disables recovery).
     pub max_retries: u32,
-    /// Multiplier applied to the adaptive threshold θ per
-    /// [`RecoveryAction::ReseedTightened`] retry (tighter testing →
-    /// more recalculation → less room for numerical drift).
-    pub tighten_factor: f64,
     /// Let the final attempt fall back to the non-adaptive reference
     /// solver.
     pub solver_fallback: bool,
@@ -86,13 +82,17 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 2,
-            tighten_factor: 0.5,
             solver_fallback: true,
         }
     }
 }
 
 impl RetryPolicy {
+    /// Multiplier applied to the adaptive threshold θ per
+    /// [`RecoveryAction::ReseedTightened`] retry (tighter testing →
+    /// more recalculation → less room for numerical drift).
+    pub const TIGHTEN_FACTOR: f64 = 0.5;
+
     /// Total attempts a point may consume (initial + retries).
     #[must_use]
     pub fn max_attempts(&self) -> u32 {
@@ -482,7 +482,7 @@ fn next_spec(
             attempt,
             seed,
             action: RecoveryAction::ReseedTightened,
-            theta_scale: spec.theta_scale * policy.tighten_factor,
+            theta_scale: spec.theta_scale * RetryPolicy::TIGHTEN_FACTOR,
             fallback: false,
         }
     }
@@ -769,7 +769,7 @@ fn fingerprint_policy(w: &mut Writer, policy: &RetryPolicy) {
     // with `JournalMismatch` rather than restore points it recovered.
     w.u32(2);
     w.u32(policy.max_retries);
-    w.f64(policy.tighten_factor);
+    w.f64(RetryPolicy::TIGHTEN_FACTOR);
     w.u32(u32::from(policy.solver_fallback));
 }
 

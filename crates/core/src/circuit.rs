@@ -6,7 +6,7 @@
 //! `vdc` entries) or **islands** (charge-quantized conductors). At build
 //! time the island-block capacitance matrix `C` is assembled and inverted
 //! once; the Monte Carlo solvers then only ever read `C⁻¹` (the paper's
-//! Eq. 2) and the island–lead coupling block.
+//! Eq. 2), stored once by column, and the island–lead coupling block.
 
 use semsim_linalg::Matrix;
 
@@ -290,14 +290,19 @@ pub struct Circuit {
     island_nodes: Vec<NodeId>,
     junctions: Vec<Junction>,
     capacitors: Vec<Capacitor>,
-    /// Island-block capacitance matrix (islands × islands).
-    cmatrix: Matrix,
-    /// Its inverse — the paper's `C⁻¹`.
-    cinv: Matrix,
+    /// Diagonal of the island capacitance matrix `C`: each island's
+    /// total capacitance. `C` itself is not kept.
+    island_capacitance: Vec<f64>,
+    /// The paper's `C⁻¹`, stored by column: row `c` holds column `c`, so
+    /// an event reads each column it needs as one contiguous slice. The
+    /// LU-derived `C⁻¹` is symmetric only to rounding, so this is the one
+    /// orientation every reader uses: entry `(r, c)` is entry `r` of
+    /// stored column `c` ([`Circuit::cinv`]).
+    cinv_columns: Matrix,
     /// Island–lead coupling block (islands × leads).
     cext: Matrix,
-    /// `C⁻¹ · C_ext` — potential response of each island to a unit step
-    /// on each lead.
+    /// `C⁻¹ · C_ext` by lead: row `l` is the potential response of every
+    /// island to a unit step on lead `l`.
     lead_response: Matrix,
     /// Junctions incident to each node.
     node_junctions: Vec<Vec<JunctionId>>,
@@ -316,15 +321,6 @@ pub struct Circuit {
     /// Per-lead maximum `|lead_response|` over islands — the scale the
     /// lead sparsification threshold is relative to.
     lead_response_colmax: Vec<f64>,
-    /// Transpose of `C⁻¹` (a bitwise copy of every entry). The
-    /// per-event testing kernel gathers `C⁻¹[island, f]` for the two
-    /// fixed source/destination columns `f` over many islands; in the
-    /// row-major `cinv` those reads stride by a full row, in `cinv_t`
-    /// the column is one contiguous cache-resident slice.
-    cinv_t: Matrix,
-    /// Transpose of `lead_response` — same contiguity argument, for
-    /// input-voltage steps.
-    lead_response_t: Matrix,
     /// Flat SoA junction buffers for the batched kernels.
     junction_soa: JunctionSoA,
 }
@@ -347,59 +343,16 @@ impl Circuit {
             }
         }
 
-        // Assemble the island capacitance matrix and the island–lead
-        // coupling block from every capacitive element (junctions have a
-        // capacitance too).
-        let mut cmatrix = Matrix::zeros(n_islands, n_islands);
-        let mut cext = Matrix::zeros(n_islands, n_leads);
-        let caps = b
-            .junctions
-            .iter()
-            .map(|j| (j.node_a, j.node_b, j.capacitance))
-            .chain(
-                b.capacitors
-                    .iter()
-                    .map(|c| (c.node_a, c.node_b, c.capacitance)),
-            );
-        for (na, nb, c) in caps {
-            let ka = b.nodes[na.0];
-            let kb = b.nodes[nb.0];
-            match (ka, kb) {
-                (NodeKind::Island(i), NodeKind::Island(j)) => {
-                    cmatrix.add_to(i, i, c);
-                    cmatrix.add_to(j, j, c);
-                    cmatrix.add_to(i, j, -c);
-                    cmatrix.add_to(j, i, -c);
-                }
-                (NodeKind::Island(i), NodeKind::Lead(l)) => {
-                    cmatrix.add_to(i, i, c);
-                    cext.add_to(i, l, c);
-                }
-                (NodeKind::Lead(l), NodeKind::Island(i)) => {
-                    cmatrix.add_to(i, i, c);
-                    cext.add_to(i, l, c);
-                }
-                // A capacitor between two fixed-potential terminals does
-                // not influence island dynamics.
-                (NodeKind::Lead(_), NodeKind::Lead(_)) => {}
-            }
-        }
-
-        let cinv = if n_islands > 0 {
-            cmatrix.inverse().map_err(CoreError::FloatingIsland)?
-        } else {
-            Matrix::zeros(0, 0)
-        };
-        // Allocated right after `inverse` frees its LU factor, the
-        // transpose takes over that n×n block instead of growing the
-        // heap by a whole matrix.
-        let cinv_t = cinv.transposed();
-        let lead_response = if n_islands > 0 {
-            cinv.mul(&cext).expect("shape fixed by construction")
-        } else {
-            Matrix::zeros(0, n_leads)
-        };
-        let lead_response_t = lead_response.transposed();
+        let (cmatrix, cext) = assemble(&b.nodes, &b.junctions, &b.capacitors);
+        let island_capacitance = (0..n_islands).map(|i| cmatrix.get(i, i)).collect();
+        // The factor copies `C`; `C` goes before the inverse is
+        // allocated, and the factor when the inverse is done, so the
+        // build holds at most two n×n blocks and keeps one.
+        let lu = cmatrix.lu().map_err(CoreError::FloatingIsland)?;
+        drop(cmatrix);
+        let cinv_columns = lu.inverse_columns().map_err(CoreError::FloatingIsland)?;
+        drop(lu);
+        let lead_response = lead_response(&cinv_columns, &cext);
 
         // Node-level incidence.
         let mut node_junctions: Vec<Vec<JunctionId>> = vec![Vec::new(); n_nodes];
@@ -416,16 +369,14 @@ impl Circuit {
             island_nodes,
             junctions: b.junctions,
             capacitors: b.capacitors,
-            cmatrix,
-            cinv,
+            island_capacitance,
+            cinv_columns,
             cext,
             lead_response,
             node_junctions,
             island_dependents: Vec::new(),
             lead_dependents: Vec::new(),
             lead_response_colmax: Vec::new(),
-            cinv_t,
-            lead_response_t,
             junction_soa: JunctionSoA::default(),
         };
         circuit.junction_soa = {
@@ -452,22 +403,39 @@ impl Circuit {
             soa
         };
 
-        // Sparsified dependency neighbourhoods, precomputed from the
-        // same membership predicates the dense-reference solver mode
-        // evaluates per event — the two paths are identical sets in
-        // identical (ascending) order by construction, which is what
-        // makes the optimized solver bit-identical to the reference.
         circuit.lead_response_colmax = (0..n_leads)
-            .map(|l| {
-                (0..n_islands).fold(0.0f64, |m, k| m.max(circuit.lead_response.get(k, l).abs()))
-            })
+            .map(|l| semsim_linalg::norm_inf(circuit.lead_response(l)))
             .collect();
-        circuit.island_dependents = (0..n_islands)
-            .map(|i| {
-                circuit
-                    .junction_ids()
-                    .filter(|&j| circuit.junction_depends_on_island(i, j))
-                    .collect()
+        // Sparsified dependency neighbourhoods: the sets the membership
+        // predicates the dense-reference solver mode evaluates per event
+        // accept, in ascending order, which is what makes the optimized
+        // solver bit-identical to the reference. `near[i]` lists the
+        // islands `k` with `|C⁻¹[i][k]| ≥ ε·|C⁻¹[i][i]|`, found column by
+        // column so the scan reads `C⁻¹` contiguously; island `i`'s
+        // dependents are the junctions at those islands, each list
+        // allocated at its final length.
+        let tol: Vec<f64> = (0..n_islands)
+            .map(|i| Self::COUPLING_EPS * circuit.cinv(i, i).abs())
+            .collect();
+        let mut near = vec![Vec::new(); n_islands];
+        for k in 0..n_islands {
+            for (i, x) in circuit.cinv_column(k).iter().enumerate() {
+                if x.abs() >= tol[i] {
+                    near[i].push(k);
+                }
+            }
+        }
+        let mut dependents = Vec::new();
+        circuit.island_dependents = near
+            .into_iter()
+            .map(|ks| {
+                dependents.clear();
+                for k in ks {
+                    dependents.extend_from_slice(circuit.junctions_at(circuit.island_nodes[k]));
+                }
+                dependents.sort_unstable();
+                dependents.dedup();
+                dependents.to_vec()
             })
             .collect();
         circuit.lead_dependents = (0..n_leads)
@@ -571,14 +539,33 @@ impl Circuit {
         &self.capacitors
     }
 
-    /// The island capacitance matrix `C`.
-    pub fn capacitance_matrix(&self) -> &Matrix {
-        &self.cmatrix
+    /// The island capacitance matrix `C`, assembled on demand from the
+    /// element lists with the build's own assembly; the circuit does not
+    /// keep it.
+    pub fn capacitance_matrix(&self) -> Matrix {
+        assemble(&self.nodes, &self.junctions, &self.capacitors).0
     }
 
-    /// The inverse island capacitance matrix `C⁻¹` (paper Eq. 2).
-    pub fn inverse_capacitance(&self) -> &Matrix {
-        &self.cinv
+    /// Entry `(r, c)` of the inverse island capacitance matrix `C⁻¹`
+    /// (paper Eq. 2): entry `r` of [`Circuit::cinv_column`]`(c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or `c` is not an island index.
+    #[inline]
+    pub fn cinv(&self, r: usize, c: usize) -> f64 {
+        self.cinv_columns.get(c, r)
+    }
+
+    /// Column `c` of `C⁻¹`, contiguous: entry `r` is `C⁻¹[r][c]`, the
+    /// potential change of island `r` per coulomb added to island `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not an island index.
+    #[inline]
+    pub fn cinv_column(&self, c: usize) -> &[f64] {
+        self.cinv_columns.row(c)
     }
 
     /// The island–lead coupling block `C_ext`.
@@ -586,21 +573,15 @@ impl Circuit {
         &self.cext
     }
 
-    /// `C⁻¹·C_ext`: island-potential response to a unit lead step.
-    pub fn lead_response(&self) -> &Matrix {
-        &self.lead_response
-    }
-
-    /// Transpose of `C⁻¹` — bitwise-equal entries, column-contiguous
-    /// layout for the testing kernel's per-event gathers.
-    pub fn transposed_inverse_capacitance(&self) -> &Matrix {
-        &self.cinv_t
-    }
-
-    /// Transpose of `C⁻¹·C_ext` — bitwise-equal entries, per-lead rows
-    /// contiguous.
-    pub fn transposed_lead_response(&self) -> &Matrix {
-        &self.lead_response_t
+    /// Column `lead` of `C⁻¹·C_ext`, contiguous: entry `k` is island
+    /// `k`'s potential response to a unit step on `lead`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lead ≥ num_leads()`.
+    #[inline]
+    pub fn lead_response(&self, lead: usize) -> &[f64] {
+        self.lead_response.row(lead)
     }
 
     /// Flat SoA junction buffers consumed by the batched kernels.
@@ -612,7 +593,7 @@ impl Circuit {
     #[inline]
     pub fn cinv_between(&self, a: NodeId, b: NodeId) -> f64 {
         match (self.island_index(a), self.island_index(b)) {
-            (Some(i), Some(j)) => self.cinv.get(i, j),
+            (Some(i), Some(j)) => self.cinv(i, j),
             _ => 0.0,
         }
     }
@@ -620,7 +601,7 @@ impl Circuit {
     /// Total capacitance seen by the island at `node` (the `C_Σ` of a
     /// single-island device), or `None` for a lead.
     pub fn total_capacitance(&self, node: NodeId) -> Option<f64> {
-        self.island_index(node).map(|i| self.cmatrix.get(i, i))
+        self.island_index(node).map(|i| self.island_capacitance[i])
     }
 
     /// Junctions incident to `node`.
@@ -645,12 +626,12 @@ impl Circuit {
     /// itself are always dependents.
     #[inline]
     pub fn junction_depends_on_island(&self, island: usize, j: JunctionId) -> bool {
-        let tol = Self::COUPLING_EPS * self.cinv.get(island, island).abs();
+        let tol = Self::COUPLING_EPS * self.cinv(island, island).abs();
         let junction = &self.junctions[j.0];
         [junction.node_a, junction.node_b]
             .into_iter()
             .filter_map(|n| self.island_index(n))
-            .any(|k| self.cinv.get(island, k).abs() >= tol)
+            .any(|k| self.cinv(island, k).abs() >= tol)
     }
 
     /// Does junction `j`'s free energy depend (above
@@ -673,7 +654,7 @@ impl Circuit {
             && [junction.node_a, junction.node_b]
                 .into_iter()
                 .filter_map(|n| self.island_index(n))
-                .any(|k| self.lead_response.get(k, lead).abs() >= tol)
+                .any(|k| self.lead_response(lead)[k].abs() >= tol)
     }
 
     /// Precomputed dependency neighbourhood of `island`: junctions
@@ -692,6 +673,76 @@ impl Circuit {
     pub fn junction_ids(&self) -> impl ExactSizeIterator<Item = JunctionId> {
         (0..self.junctions.len()).map(JunctionId)
     }
+}
+
+/// Assembles the island capacitance matrix `C` (islands × islands) and
+/// the island–lead coupling block `C_ext` (islands × leads) from every
+/// capacitive element, junctions first, in declaration order.
+fn assemble(
+    nodes: &[NodeKind],
+    junctions: &[Junction],
+    capacitors: &[Capacitor],
+) -> (Matrix, Matrix) {
+    let n_leads = nodes
+        .iter()
+        .filter(|k| matches!(k, NodeKind::Lead(_)))
+        .count();
+    let n_islands = nodes.len() - n_leads;
+    let mut cmatrix = Matrix::zeros(n_islands, n_islands);
+    let mut cext = Matrix::zeros(n_islands, n_leads);
+    let caps = junctions
+        .iter()
+        .map(|j| (j.node_a, j.node_b, j.capacitance))
+        .chain(
+            capacitors
+                .iter()
+                .map(|c| (c.node_a, c.node_b, c.capacitance)),
+        );
+    for (na, nb, c) in caps {
+        match (nodes[na.0], nodes[nb.0]) {
+            (NodeKind::Island(i), NodeKind::Island(j)) => {
+                cmatrix.add_to(i, i, c);
+                cmatrix.add_to(j, j, c);
+                cmatrix.add_to(i, j, -c);
+                cmatrix.add_to(j, i, -c);
+            }
+            (NodeKind::Island(i), NodeKind::Lead(l)) | (NodeKind::Lead(l), NodeKind::Island(i)) => {
+                cmatrix.add_to(i, i, c);
+                cext.add_to(i, l, c);
+            }
+            // A capacitor between two fixed-potential terminals does
+            // not influence island dynamics.
+            (NodeKind::Lead(_), NodeKind::Lead(_)) => {}
+        }
+    }
+    (cmatrix, cext)
+}
+
+/// `C⁻¹·C_ext` by lead, from `C⁻¹` stored by column: row `l` of the
+/// result is column `l` of the product. Each entry sums
+/// `C⁻¹[i][k]·C_ext[k][l]` in ascending `k` from `+0` and skips the
+/// terms whose `C⁻¹` entry is zero, as [`Matrix::mul`] does, so it is
+/// bitwise that product. When `C⁻¹` is finite, a zero `C_ext` entry
+/// makes every term of its column an exact `±0`, which cannot change a
+/// sum that is never `−0`, so the column is skipped.
+fn lead_response(cinv_columns: &Matrix, cext: &Matrix) -> Matrix {
+    let (n_islands, n_leads) = (cext.rows(), cext.cols());
+    let finite = cinv_columns.as_slice().iter().all(|a| a.is_finite());
+    let mut response = Matrix::zeros(n_leads, n_islands);
+    for l in 0..n_leads {
+        for k in 0..n_islands {
+            let b = cext.get(k, l);
+            if b == 0.0 && finite {
+                continue;
+            }
+            for (i, &a) in cinv_columns.row(k).iter().enumerate() {
+                if a != 0.0 {
+                    response.add_to(l, i, a * b);
+                }
+            }
+        }
+    }
+    response
 }
 
 #[cfg(test)]
@@ -722,7 +773,7 @@ mod tests {
     fn set_cinv_is_reciprocal_of_ctotal() {
         let (c, island, _, _) = paper_set();
         let i = c.island_index(island).unwrap();
-        assert!((c.inverse_capacitance().get(i, i) - 1.0 / 5e-18).abs() < 1e8);
+        assert!((c.cinv(i, i) - 1.0 / 5e-18).abs() < 1e8);
     }
 
     #[test]
@@ -731,9 +782,7 @@ mod tests {
         // stepping together by 1 V is exactly 1 V.
         let (c, island, _, _) = paper_set();
         let i = c.island_index(island).unwrap();
-        let total: f64 = (0..c.num_leads())
-            .map(|l| c.lead_response().get(i, l))
-            .sum();
+        let total: f64 = (0..c.num_leads()).map(|l| c.lead_response(l)[i]).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -870,7 +919,6 @@ mod tests {
         assert!(c.capacitance_matrix().is_symmetric(1e-30));
         // C⁻¹ entries are O(1e17); allow machine-level asymmetry.
         let scale = c.cinv_between(i1, i1).abs();
-        assert!(c.inverse_capacitance().is_symmetric(1e-9 * scale));
         assert_eq!(c.capacitance_matrix().get(0, 1), -2e-18);
         assert!((c.cinv_between(i1, i2) - c.cinv_between(i2, i1)).abs() < 1e-9 * scale);
         assert_eq!(c.cinv_between(NodeId::GROUND, i1), 0.0);

@@ -103,10 +103,7 @@ impl CircuitState {
     pub fn recompute_potentials(&mut self, circuit: &Circuit) {
         let mut q = std::mem::take(&mut self.scratch_q);
         fill_charge_vector(circuit, &self.electrons, &self.lead_voltages, &mut q);
-        circuit
-            .inverse_capacitance()
-            .mul_vec_into(&q, &mut self.phi)
-            .expect("island dimensions fixed at build");
+        cinv_product(circuit, &q, &mut self.phi);
         self.scratch_q = q;
     }
 
@@ -177,6 +174,20 @@ fn fill_charge_vector(
     }));
 }
 
+/// `C⁻¹·q` into `out`, accumulated column by column in ascending column
+/// order from `−0.0`. Each entry takes the terms of `dot(row, q)` in
+/// that function's order and from its start value (an f64 `Sum` starts
+/// at `−0.0`), so it is bitwise the row-by-row product.
+fn cinv_product(circuit: &Circuit, q: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(circuit.num_islands(), -0.0);
+    for (k, &qk) in q.iter().enumerate() {
+        for (o, &x) in out.iter_mut().zip(circuit.cinv_column(k)) {
+            *o += x * qk;
+        }
+    }
+}
+
 /// Free-energy change (J) for moving `count` electrons from node `from`
 /// to node `to` — the paper's Eq. 2, generalized to leads (whose
 /// potential is the source voltage and whose charging terms vanish) and
@@ -215,13 +226,12 @@ pub fn potential_delta(
     to: NodeId,
     count: i64,
 ) -> f64 {
-    let cinv = circuit.inverse_capacitance();
     let mut d = 0.0;
     if let Some(f) = circuit.island_index(from) {
-        d += cinv.get(island, f);
+        d += circuit.cinv(island, f);
     }
     if let Some(t) = circuit.island_index(to) {
-        d -= cinv.get(island, t);
+        d -= circuit.cinv(island, t);
     }
     count as f64 * E_CHARGE * d
 }
@@ -230,7 +240,7 @@ pub fn potential_delta(
 /// `dv` volts: `δφ_k = (C⁻¹·C_ext)_{k,lead} · dv`.
 #[inline]
 pub fn lead_step_delta(circuit: &Circuit, island: usize, lead: usize, dv: f64) -> f64 {
-    circuit.lead_response().get(island, lead) * dv
+    circuit.lead_response(lead)[island] * dv
 }
 
 /// Total electrostatic free energy of the state (J), up to a
@@ -238,10 +248,8 @@ pub fn lead_step_delta(circuit: &Circuit, island: usize, lead: usize, dv: f64) -
 /// verify that [`delta_w`] is the exact discrete gradient of `F`.
 pub fn total_free_energy(circuit: &Circuit, state: &CircuitState) -> f64 {
     let q = state.charge_vector(circuit);
-    let phi = circuit
-        .inverse_capacitance()
-        .mul_vec(&q)
-        .expect("island dimensions fixed at build");
+    let mut phi = Vec::new();
+    cinv_product(circuit, &q, &mut phi);
     0.5 * semsim_linalg::dot(&q, &phi)
 }
 

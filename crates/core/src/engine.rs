@@ -336,9 +336,7 @@ impl<'c> Simulation<'c> {
                         .iter()
                         .fold(10e-3_f64, |m, v| m.max(v.abs()));
                     let ec_max = (0..circuit.num_islands())
-                        .map(|i| {
-                            0.5 * E_CHARGE * E_CHARGE * circuit.inverse_capacitance().get(i, i)
-                        })
+                        .map(|i| 0.5 * E_CHARGE * E_CHARGE * circuit.cinv(i, i))
                         .fold(0.0_f64, f64::max);
                     4.0 * gap + 40.0 * kt + 8.0 * ec_max + 4.0 * E_CHARGE * v_scale
                 });

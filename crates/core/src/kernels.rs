@@ -1,7 +1,8 @@
 //! The adaptive solver's hot-loop kernels: flat loops over the
 //! structure-of-arrays junction buffers ([`JunctionSoA`]) and over the
-//! island potentials, reading the transposed (column-contiguous) `C⁻¹`
-//! and lead-response matrices one contiguous row per event.
+//! island potentials, reading the event's contiguous `C⁻¹` or
+//! lead-response columns ([`Circuit::cinv_column`],
+//! [`Circuit::lead_response`]).
 //!
 //! ## Contract
 //!
@@ -14,10 +15,9 @@
 //! the same inputs a kernel produces exactly the oracle's bytes,
 //! junction for junction and island for island, because
 //!
-//! * the transposed matrices ([`Circuit::transposed_inverse_capacitance`],
-//!   [`Circuit::transposed_lead_response`]) are bitwise copies of the
-//!   row-major originals, so a read from a transposed row sees the same
-//!   bits as the strided row-major read;
+//! * a kernel reads entry `(r, c)` from the one stored `C⁻¹` where the
+//!   scalar functions' [`Circuit::cinv`] reads it, entry `r` of column
+//!   `c`, and likewise for the lead response;
 //! * per-lane arithmetic replicates the scalar expressions operand for
 //!   operand (the [`JunctionSoA`] charging coefficients are
 //!   precomputed with `delta_w`'s exact operand order);
@@ -40,7 +40,7 @@ use crate::rates::orthodox_rates;
 use crate::solver::{StateChange, TunnelModel};
 
 /// Potential change of one junction terminal for a transfer, from the
-/// transposed-`C⁻¹` columns of the event's endpoints. Replicates
+/// `C⁻¹` columns of the event's endpoints. Replicates
 /// [`crate::energy::potential_delta`] operand for operand.
 #[inline(always)]
 fn transfer_lane(ke: f64, island: u32, colf: Option<&[f64]>, colt: Option<&[f64]>) -> f64 {
@@ -59,7 +59,7 @@ fn transfer_lane(ke: f64, island: u32, colf: Option<&[f64]>, colt: Option<&[f64]
 }
 
 /// Potential change of one junction terminal for a lead step, from the
-/// transposed lead-response row. Replicates the scalar node delta.
+/// stepped lead's response column. Replicates the scalar node delta.
 #[inline(always)]
 fn step_lane(island: u32, terminal_lead: u32, lead: u32, dv: f64, lr: &[f64]) -> f64 {
     if island != JunctionSoA::NONE {
@@ -114,12 +114,10 @@ pub(crate) fn test_factors(
     };
     match change {
         StateChange::Transfer { from, to, count } => {
-            let cinv_t = circuit.transposed_inverse_capacitance();
             // Resolve the two event columns once; every lane then
-            // gathers from these L1-resident slices instead of
-            // striding across the row-major C⁻¹.
-            let colf = circuit.island_index(from).map(|f| cinv_t.row(f));
-            let colt = circuit.island_index(to).map(|t| cinv_t.row(t));
+            // gathers from these L1-resident slices.
+            let colf = circuit.island_index(from).map(|f| circuit.cinv_column(f));
+            let colt = circuit.island_index(to).map(|t| circuit.cinv_column(t));
             let ke = count as f64 * E_CHARGE;
             for &j in tested {
                 let idx = j.index();
@@ -131,7 +129,7 @@ pub(crate) fn test_factors(
             }
         }
         StateChange::LeadStep { lead, dv } => {
-            let lr = circuit.transposed_lead_response().row(lead);
+            let lr = circuit.lead_response(lead);
             let lead = lead as u32;
             for &j in tested {
                 let idx = j.index();
@@ -184,8 +182,8 @@ pub(crate) fn tunnel_rates(
 
 /// Eager potential update: adds `change`'s exact potential delta to
 /// every island's cached potential `phi`, reading the event's
-/// contiguous transposed-matrix rows (the `C⁻¹` columns of a transfer's
-/// island endpoints, or the stepped lead's response column).
+/// contiguous columns (the `C⁻¹` columns of a transfer's island
+/// endpoints, or the stepped lead's response column).
 ///
 /// Per island the delta is operand for operand
 /// [`crate::energy::potential_delta`] /
@@ -197,21 +195,21 @@ pub(crate) fn tunnel_rates(
 pub(crate) fn potential_update(circuit: &Circuit, change: StateChange, phi: &mut [f64]) {
     match change {
         StateChange::Transfer { from, to, count } => {
-            let cinv_t = circuit.transposed_inverse_capacitance();
             let ke = count as f64 * E_CHARGE;
             match (circuit.island_index(from), circuit.island_index(to)) {
                 (Some(f), Some(t)) => {
-                    for ((p, &xf), &xt) in phi.iter_mut().zip(cinv_t.row(f)).zip(cinv_t.row(t)) {
+                    let (colf, colt) = (circuit.cinv_column(f), circuit.cinv_column(t));
+                    for ((p, &xf), &xt) in phi.iter_mut().zip(colf).zip(colt) {
                         *p += ke * ((0.0 + xf) - xt);
                     }
                 }
                 (Some(f), None) => {
-                    for (p, &xf) in phi.iter_mut().zip(cinv_t.row(f)) {
+                    for (p, &xf) in phi.iter_mut().zip(circuit.cinv_column(f)) {
                         *p += ke * (0.0 + xf);
                     }
                 }
                 (None, Some(t)) => {
-                    for (p, &xt) in phi.iter_mut().zip(cinv_t.row(t)) {
+                    for (p, &xt) in phi.iter_mut().zip(circuit.cinv_column(t)) {
                         *p += ke * (0.0 - xt);
                     }
                 }
@@ -224,8 +222,7 @@ pub(crate) fn potential_update(circuit: &Circuit, change: StateChange, phi: &mut
             }
         }
         StateChange::LeadStep { lead, dv } => {
-            let lr = circuit.transposed_lead_response().row(lead);
-            for (p, &x) in phi.iter_mut().zip(lr) {
+            for (p, &x) in phi.iter_mut().zip(circuit.lead_response(lead)) {
                 *p += x * dv;
             }
         }

@@ -1,9 +1,10 @@
 //! Pre-admission resource cost model.
 //!
 //! The dense solver's memory footprint grows quadratically with the
-//! island count (`C` and `C⁻¹` are `islands × islands` matrices of
-//! `f64`), so a large circuit can OOM-kill a process long after
-//! admission checks passed. This module predicts that footprint *from
+//! island count (`C⁻¹`, and while the circuit is built its LU factor,
+//! are `islands × islands` matrices of `f64`), so a large circuit can
+//! OOM-kill a process long after admission checks passed. This module
+//! predicts that footprint *from
 //! counts alone* — before `CircuitBuilder::build` materialises
 //! anything — so `semsim run --max-memory` and serve's `POST /jobs`
 //! admission can refuse an oversized circuit with a structured
@@ -34,6 +35,12 @@ use crate::error::CoreError;
 
 /// Bytes of one `f64`.
 const F64: u64 = 8;
+/// Bytes per `islands²` entry at the build's peak: the LU factor and
+/// `C⁻¹` hold one `f64` each, and the inverse gathers the factor's
+/// nonzeros as 16-byte `(column, value)` pairs, priced at one entry in
+/// eight (2 bytes). The paper's benchmarks up to c432 fill 7–14 % of
+/// the factor off its diagonal.
+const DENSE_PEAK_BYTES_PER_ENTRY: u64 = 2 * F64 + 2;
 /// Bytes of one `Vec<T>` header (ptr + len + cap on 64-bit targets).
 const VEC_HEADER: u64 = 24;
 /// Flat allowance for the journal's per-append encode buffer plus the
@@ -52,16 +59,17 @@ pub struct ResourceEstimate {
     pub leads: u64,
     /// Junction count.
     pub junctions: u64,
-    /// `C` + `C⁻¹`: two dense `islands²` matrices of `f64`.
+    /// `C⁻¹` + its LU factor, the build's peak: two dense `islands²`
+    /// matrices of `f64` plus the factor's nonzeros the inverse gathers,
+    /// priced at 2 bytes per `islands²` entry. The factor is freed when
+    /// the build ends and `C⁻¹` stays.
     pub dense_matrix_bytes: u64,
     /// `C_ext` + lead-response: two dense `islands × leads` matrices.
     pub coupling_bytes: u64,
     /// The three precomputed incidence/dependency tables.
     pub neighborhood_bytes: u64,
-    /// Hot-loop kernel buffers: the transposed `C⁻¹` and lead-response
-    /// matrices (contiguous per-event gather columns for the testing
-    /// kernel) plus the per-junction structure-of-arrays (four `u32`
-    /// index lanes, three `f64` lanes).
+    /// Hot-loop kernel buffers: the per-junction structure-of-arrays
+    /// (four `u32` index lanes, three `f64` lanes).
     pub kernel_bytes: u64,
     /// Journal append buffer allowance (constant).
     pub journal_buffer_bytes: u64,
@@ -84,7 +92,7 @@ impl ResourceEstimate {
     pub fn predict(islands: usize, leads: usize, junctions: usize) -> Self {
         let (i, l, j) = (islands as u64, leads as u64, junctions as u64);
         let sq = |x: u64| x.saturating_mul(x);
-        let dense_matrix_bytes = 2u64.saturating_mul(sq(i)).saturating_mul(F64);
+        let dense_matrix_bytes = sq(i).saturating_mul(DENSE_PEAK_BYTES_PER_ENTRY);
         let coupling_bytes = 2u64.saturating_mul(i).saturating_mul(l).saturating_mul(F64);
         // Effective coupling-neighbourhood size per junction:
         // ceil(3 × average node degree) = ceil(6j / (i+l)), capped at
@@ -113,7 +121,11 @@ impl ResourceEstimate {
             dense_matrix_bytes,
             coupling_bytes,
             neighborhood_bytes,
-            kernel_bytes: kernel_soa_bytes(i, l, j),
+            // Four `u32` lanes + three `f64` lanes, each `junctions`
+            // long, in seven `Vec`s.
+            kernel_bytes: j
+                .saturating_mul(4 * 4 + 3 * F64)
+                .saturating_add(7 * VEC_HEADER),
             journal_buffer_bytes: JOURNAL_BUFFER,
         }
     }
@@ -125,10 +137,16 @@ impl ResourceEstimate {
         let islands = circuit.num_islands() as u64;
         let leads = circuit.num_leads() as u64;
         let junctions = circuit.num_junctions() as u64;
-        let mat = |m: &semsim_linalg::Matrix| (m.rows() as u64) * (m.cols() as u64) * F64;
-        let dense_matrix_bytes =
-            mat(circuit.capacitance_matrix()) + mat(circuit.inverse_capacitance());
-        let coupling_bytes = mat(circuit.lead_coupling()) + mat(circuit.lead_response());
+        let entries = |slice: &[f64]| slice.len() as u64;
+        // The build freed the factor and its gathered nonzeros; they are
+        // priced from `C⁻¹`'s shape, as `predict` prices them.
+        let dense_matrix_bytes = (0..circuit.num_islands())
+            .map(|c| entries(circuit.cinv_column(c)) * DENSE_PEAK_BYTES_PER_ENTRY)
+            .sum();
+        let coupling_bytes = (0..circuit.num_leads())
+            .map(|l| entries(circuit.lead_response(l)) * F64)
+            .sum::<u64>()
+            + entries(circuit.lead_coupling().as_slice()) * F64;
         let mut rows = 0u64;
         let mut entries = 0u64;
         let mut table = |len: usize| {
@@ -146,9 +164,7 @@ impl ResourceEstimate {
         }
         let neighborhood_bytes = entries * F64 + rows * VEC_HEADER;
         let soa = circuit.junction_soa();
-        let kernel_bytes = mat(circuit.transposed_inverse_capacitance())
-            + mat(circuit.transposed_lead_response())
-            + 4 * (soa.a_island.len() as u64)
+        let kernel_bytes = 4 * (soa.a_island.len() as u64)
             + 4 * (soa.b_island.len() as u64)
             + 4 * (soa.a_lead.len() as u64)
             + 4 * (soa.b_lead.len() as u64)
@@ -193,7 +209,7 @@ impl ResourceEstimate {
     #[must_use]
     pub fn breakdown(&self) -> String {
         format!(
-            "C and C⁻¹ {}, lead coupling {}, neighborhood tables {}, \
+            "C⁻¹ and its LU factor {}, lead coupling {}, neighborhood tables {}, \
              kernel SoA {}, journal buffer {}",
             fmt_bytes(self.dense_matrix_bytes),
             fmt_bytes(self.coupling_bytes),
@@ -220,21 +236,6 @@ impl ResourceEstimate {
         }
         Ok(())
     }
-}
-
-/// Bytes of the hot-loop kernel buffers, exact from counts
-/// alone: the transposed `C⁻¹` (`islands²` of `f64`), the transposed
-/// lead-response matrix (`leads × islands` of `f64`), and the
-/// per-junction SoA (four `u32` lanes + three `f64` lanes, each
-/// `junctions` long, in seven `Vec`s).
-fn kernel_soa_bytes(islands: u64, leads: u64, junctions: u64) -> u64 {
-    let cinv_t = islands.saturating_mul(islands).saturating_mul(F64);
-    let lead_response_t = leads.saturating_mul(islands).saturating_mul(F64);
-    let soa_lanes = junctions.saturating_mul(4 * 4 + 3 * F64);
-    cinv_t
-        .saturating_add(lead_response_t)
-        .saturating_add(soa_lanes)
-        .saturating_add(7 * VEC_HEADER)
 }
 
 /// Renders a byte count with a binary-unit suffix (exact below 1 KiB,
@@ -337,7 +338,7 @@ mod tests {
         let small = ResourceEstimate::predict(10, 4, 20);
         let big = ResourceEstimate::predict(1000, 4, 2000);
         assert!(big.dense_matrix_bytes >= 100 * small.dense_matrix_bytes * 90 / 100);
-        assert_eq!(big.dense_matrix_bytes, 2 * 1000 * 1000 * 8);
+        assert_eq!(big.dense_matrix_bytes, 1000 * 1000 * (2 * 8 + 2));
         assert!(small.check_budget(0).is_ok(), "0 disables the budget");
         assert!(small.check_budget(u64::MAX).is_ok());
         let err = big.check_budget(1024).unwrap_err();
@@ -349,7 +350,7 @@ mod tests {
             } => {
                 assert_eq!(required, big.total_bytes());
                 assert_eq!(limit, 1024);
-                assert!(breakdown.contains("C and C⁻¹"));
+                assert!(breakdown.contains("C⁻¹ and its LU factor"));
                 assert!(breakdown.contains("neighborhood tables"));
                 assert!(breakdown.contains("kernel SoA"));
                 assert!(breakdown.contains("journal buffer"));

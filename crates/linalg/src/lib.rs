@@ -2,13 +2,14 @@
 //!
 //! Single-electron circuit simulation needs exactly one nontrivial linear
 //! algebra operation: building the island-block capacitance matrix `C` and
-//! inverting it (the paper's `C⁻¹` in Eq. 2). `C` is stored dense, and a
-//! dense LU with partial pivoting factors it. Each island couples to only
-//! a few neighbours, so the factor has a narrow profile, and
-//! [`LuDecomposition::inverse`] sums over the factor's nonzeros only: an
-//! `O(n² + n·nnz(LU))` inverse that is bitwise the same as `n` dense
-//! solves. The inverse itself is dense and stored dense; the simulator
-//! reads it whole, with no truncated view.
+//! inverting it (the paper's `C⁻¹` in Eq. 2). `C` is assembled dense, and
+//! a dense LU with partial pivoting factors it. Each island couples to
+//! only a few neighbours, so the factor has a narrow profile, and
+//! [`LuDecomposition::inverse_columns`] sums over the factor's nonzeros
+//! only: an `O(n² + n·nnz(LU))` inverse that is bitwise the same as `n`
+//! dense solves. It writes `C⁻¹` column by column, one column per row of
+//! the result, because the simulator reads it by column; the inverse is
+//! dense and stored dense, with no truncated view.
 //!
 //! # Example
 //!

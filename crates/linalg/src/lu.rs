@@ -226,8 +226,11 @@ impl LuDecomposition {
         Ok(est)
     }
 
-    /// Computes the full inverse. Column `c` is bitwise
-    /// `self.solve(&e_c)` for the unit vector `e_c`, for every input.
+    /// Computes the full inverse column by column: row `c` of the
+    /// result holds column `c` of `A⁻¹`, the layout a reader of whole
+    /// columns wants. Each is bitwise `self.solve(&e_c)` for the unit
+    /// vector `e_c`, for every input. [`Matrix::inverse`] is its
+    /// transpose.
     ///
     /// The cost is `O(n² + n·nnz(LU))` instead of the `O(n³)` of `n`
     /// dense solves. The factor's strict-L and strict-U nonzeros are
@@ -248,9 +251,9 @@ impl LuDecomposition {
     ///
     /// Propagates errors from [`LuDecomposition::solve`]; cannot fail for a
     /// successfully constructed decomposition.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
+    pub fn inverse_columns(&self) -> Result<Matrix, LinalgError> {
         let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
+        let mut columns = Matrix::zeros(n, n);
         let rows = FactorRows::of_finite(&self.lu);
         let mut x = vec![[0.0; LANES]; n];
         let mut e = vec![0.0; n];
@@ -262,18 +265,18 @@ impl LuDecomposition {
             for (lane, &col) in cols.iter().enumerate() {
                 if rows.is_some() && x.iter().all(|xr| xr[lane].is_finite()) {
                     for (row, xr) in x.iter().enumerate() {
-                        inv.set(row, col, xr[lane]);
+                        columns.set(col, row, xr[lane]);
                     }
                 } else {
                     e[col] = 1.0;
                     for (row, v) in self.solve(&e)?.into_iter().enumerate() {
-                        inv.set(row, col, v);
+                        columns.set(col, row, v);
                     }
                     e[col] = 0.0;
                 }
             }
         }
-        Ok(inv)
+        Ok(columns)
     }
 
     /// `solve(e_c)` for the columns `c = perm[first + lane]`, each in
@@ -308,7 +311,7 @@ impl LuDecomposition {
     }
 }
 
-/// Columns [`LuDecomposition::inverse`] computes side by side. Their
+/// Columns [`LuDecomposition::inverse_columns`] computes side by side. Their
 /// sums are independent, so they fill the floating-point pipeline that
 /// one column's chain of dependent additions leaves idle.
 const LANES: usize = 8;

@@ -138,53 +138,32 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix–vector product `self · x`.
+    /// Matrix–vector product `self · x`. An `n × 0` matrix yields `n`
+    /// zeros (every row sum is empty).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.cols()`.
     pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut out = Vec::with_capacity(self.rows);
-        self.mul_vec_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self · x` written into `out`, reusing its
-    /// allocation: the per-row dot products of [`Matrix::mul_vec`]
-    /// without allocating — the hot-path variant used by the
-    /// simulator's potential recomputation. An `n × 0` matrix yields
-    /// `n` zeros (every row sum is empty).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != self.cols()`.
-    pub fn mul_vec_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<(), LinalgError> {
         if x.len() != self.cols {
             return Err(LinalgError::ShapeMismatch {
                 left: (self.rows, self.cols),
                 right: (x.len(), 1),
             });
         }
-        out.clear();
         if self.cols == 0 {
-            out.resize(self.rows, 0.0);
-            return Ok(());
+            return Ok(vec![0.0; self.rows]);
         }
-        out.extend(
-            self.data
-                .chunks_exact(self.cols)
-                .map(|row| crate::dot(row, x)),
-        );
-        Ok(())
+        Ok(self
+            .data
+            .chunks_exact(self.cols)
+            .map(|row| crate::dot(row, x))
+            .collect())
     }
 
-    /// Matrix–matrix product `self · other`.
-    ///
-    /// Each output entry sums `self[i][k] · other[k][j]` in ascending
-    /// `k`, starting from `+0`, and skips the terms whose left entry is
-    /// zero. For a finite left entry it also skips the terms whose right
-    /// entry is zero: each would add an exact `±0` to a sum that can
-    /// never be `−0`, so the result is bitwise the full sum's.
+    /// Matrix–matrix product `self · other`. Each output entry sums
+    /// `self[i][k] · other[k][j]` in ascending `k`, starting from `+0`,
+    /// and skips the terms whose left entry is zero.
     ///
     /// # Errors
     ///
@@ -196,15 +175,6 @@ impl Matrix {
                 right: (other.rows, other.cols),
             });
         }
-        // Row k's nonzero columns of `other` are
-        // `nonzero[nonzero_start[k]..nonzero_start[k + 1]]`.
-        let mut nonzero_start = Vec::with_capacity(other.rows + 1);
-        let mut nonzero = Vec::new();
-        for k in 0..other.rows {
-            nonzero_start.push(nonzero.len());
-            nonzero.extend((0..other.cols).filter(|&j| other.get(k, j) != 0.0));
-        }
-        nonzero_start.push(nonzero.len());
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
@@ -213,15 +183,8 @@ impl Matrix {
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = other.row(k);
-                if a.is_finite() {
-                    for &j in &nonzero[nonzero_start[k]..nonzero_start[k + 1]] {
-                        out_row[j] += a * b_row[j];
-                    }
-                } else {
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
+                for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
+                    *o += a * b;
                 }
             }
         }
@@ -295,13 +258,14 @@ impl Matrix {
         LuDecomposition::new(self)
     }
 
-    /// Computes the inverse via LU decomposition.
+    /// Computes the inverse via LU decomposition: the transpose of
+    /// [`LuDecomposition::inverse_columns`].
     ///
     /// # Errors
     ///
     /// Same as [`Matrix::lu`].
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.lu()?.inverse()
+        Ok(self.lu()?.inverse_columns()?.transposed())
     }
 
     /// Solves `self · x = b`.
@@ -359,28 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_into_is_bit_identical_and_reuses_buffer() {
-        let m = Matrix::from_rows(&[&[1.25, -2.0, 0.5], &[3.0, 4.5, -1.0]]).unwrap();
-        let x = [0.1, -7.0, 2.5];
-        let fresh = m.mul_vec(&x).unwrap();
-        let mut out = vec![99.0; 17];
-        m.mul_vec_into(&x, &mut out).unwrap();
-        assert_eq!(out.len(), 2);
-        for (a, b) in fresh.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let mut short = Vec::new();
-        assert!(m.mul_vec_into(&[1.0], &mut short).is_err());
-    }
-
-    #[test]
     fn mul_vec_on_zero_column_matrices_returns_row_zeros() {
         for rows in [0, 2] {
             let m = Matrix::zeros(rows, 0);
             assert_eq!(m.mul_vec(&[]).unwrap(), vec![0.0; rows]);
-            let mut out = vec![99.0; 3];
-            m.mul_vec_into(&[], &mut out).unwrap();
-            assert_eq!(out, vec![0.0; rows]);
             assert!(m.mul_vec(&[1.0]).is_err());
         }
     }
@@ -391,50 +337,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         let ab = a.mul(&b).unwrap();
         assert_eq!(ab, Matrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]).unwrap());
-    }
-
-    #[test]
-    fn product_is_bitwise_the_plain_triple_loop() {
-        // The plain i-k-j product, skipping zero left entries as `mul` does.
-        fn plain(a: &Matrix, b: &Matrix) -> Matrix {
-            let mut out = Matrix::zeros(a.rows(), b.cols());
-            for i in 0..a.rows() {
-                for k in 0..a.cols() {
-                    if a.get(i, k) == 0.0 {
-                        continue;
-                    }
-                    for j in 0..b.cols() {
-                        out.add_to(i, j, a.get(i, k) * b.get(k, j));
-                    }
-                }
-            }
-            out
-        }
-        let inf = f64::INFINITY;
-        let a = Matrix::from_rows(&[
-            &[1.5, -0.0, 2.0, -3.0],
-            &[0.0, 0.0, 0.0, 0.0],
-            &[inf, 1.0, 0.0, -0.0],
-            &[-2.0, f64::NAN, 1e-300, 7.0],
-            &[0.25, -0.5, -inf, 1e300],
-            &[1.0, 5.0, 1.0, 1.0],
-        ])
-        .unwrap();
-        // Column 3 sums to 0.1 + 0.2 + 0.3 in row 5, which rounds
-        // differently in any other order.
-        let b = Matrix::from_rows(&[
-            &[0.0, -0.0, 4.0, 0.1],
-            &[0.0, 0.0, 0.0, 0.0],
-            &[-0.0, 3.0, -4.0, 0.2],
-            &[1e300, inf, -0.0, 0.3],
-        ])
-        .unwrap();
-        let want = plain(&a, &b);
-        let got = a.mul(&b).unwrap();
-        assert!(got.get(2, 0).is_nan(), "inf·0 must stay NaN");
-        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(g.to_bits(), w.to_bits(), "{got:?} != {want:?}");
-        }
         for (rows, inner, cols) in [(0, 3, 2), (2, 0, 3), (3, 2, 0)] {
             let p = Matrix::zeros(rows, inner).mul(&Matrix::zeros(inner, cols));
             assert_eq!(p.unwrap(), Matrix::zeros(rows, cols));

@@ -26,7 +26,7 @@
 //! object scripting worker panics and poisoned rates for the resilience
 //! tests.
 
-use semsim_check::{parse_json, Json};
+use semsim_check::{json_escape, parse_json, Json};
 
 /// Which front-end interprets the job's `source`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,26 +261,6 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
         #[cfg(feature = "fault-inject")]
         fault,
     })
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders an `{"error": …}` body.

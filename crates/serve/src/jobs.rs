@@ -24,12 +24,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use semsim_check::{parse_json, Json};
+use semsim_check::{json_escape, parse_json, Json};
 use semsim_core::batch::{BatchCounts, CancelToken};
 use semsim_core::checkpoint::{fnv1a64, Writer};
 use semsim_core::par::OutcomeCounts;
 
-use crate::api::{json_escape, JobSpec, SourceFormat};
+use crate::api::{JobSpec, SourceFormat};
 
 /// Which batch driver a job runs through (fixes the journal payload
 /// type for streaming and status scans).

@@ -25,9 +25,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use semsim_check::json_escape;
 use semsim_core::health::HealthReport;
 
-use crate::api::{error_body, json_escape};
+use crate::api::error_body;
 use crate::http::{read_request, respond_json, ChunkedWriter, Request};
 use crate::jobs::{cache_key, JobPhase, JobResult, JobStore, RecoveredJob};
 use crate::queue::{JobQueue, PushError};

@@ -404,7 +404,7 @@ fn oversized_job_is_refused_with_a_structured_413() {
     );
     assert_eq!(num_field(&json, "max_memory_bytes"), 16.0 * 1024.0);
     assert!(
-        str_field(&json, "breakdown").contains("C and C⁻¹"),
+        str_field(&json, "breakdown").contains("C⁻¹ and its LU factor"),
         "{}",
         resp.body
     );

@@ -146,7 +146,6 @@ fn exhausted_ladder_faults_the_point_and_salvages_the_rest() {
         retry: RetryPolicy {
             max_retries: 2,
             solver_fallback: false,
-            ..RetryPolicy::default()
         },
         ..BatchOpts::default()
     };

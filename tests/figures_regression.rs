@@ -5,17 +5,24 @@
 //! digits — they pin the *physics* the figures exist to show:
 //!
 //! * Fig. 1b: Coulomb blockade of half-width `e/C_Σ ≈ 32 mV` at
-//!   `V_g = 0` (committed data: conduction turns on between 30 and
-//!   34 mV), lifted by the gate.
+//!   `V_g = 0`, lifted by the gate. In the committed data conduction
+//!   turns on between 30 mV, where
+//!   2.04174e-10 A<!-- results/fig1b.txt: "0.03000   2.04174e-10" --> flows,
+//!   and 34 mV, where 2.07494e-9 A<!-- results/fig1b.txt: "0.03400    2.07494e-9" --> flows.
 //! * Fig. 1c: the superconducting gap *widens* the suppressed region —
-//!   32 mV conducts normally (`≈ 8e-10 A` committed) but is dead in the
-//!   SSET (`≈ 6e-20 A` committed).
+//!   32 mV conducts normally
+//!   (8.08471e-10 A<!-- results/fig1b.txt: "0.03200   8.08471e-10" --> committed)
+//!   but is dead in the SSET
+//!   (6.32868e-20 A<!-- results/fig1c.txt: "0.03200   6.32868e-20" --> committed).
 //! * Fig. 5: the Manninen SSET's quasi-particle transport threshold —
 //!   sub-gap current at 0.4 mV is ≈ 270× below the current past the
-//!   threshold at 1.6 mV (committed: 6.6e-12 A vs 1.78e-9 A).
+//!   threshold at 1.6 mV (committed:
+//!   6.5912e-12 A<!-- results/fig5.txt: "4.0000e-4   0.0000e0   6.5912e-12" --> vs
+//!   1.7786e-9 A<!-- results/fig5.txt: "1.6000e-3   0.0000e0    1.7786e-9" -->).
 //! * Fig. 7: the adaptive solver's propagation delay on the 2-to-10
 //!   decoder tracks the exact non-adaptive solver (committed:
-//!   1.0128e-7 s reference, 3.59% semsim error over 5 seeds).
+//!   1.0565e-7 s<!-- results/fig7.txt: "2-to-10 decoder        76    1.0565e-7" --> reference,
+//!   4.52<!-- results/fig7.txt: "1.0565e-7        4.52%" -->% semsim error over 5 seeds).
 //!
 //! The sweeps run on [`semsim::core::batch::batch_sweep`] over the
 //! deterministic work queue, so these are also end-to-end regressions

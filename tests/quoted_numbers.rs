@@ -1,4 +1,6 @@
-//! Numbers the documentation quotes from `results/` stay true.
+//! Numbers the documentation quotes from `results/` stay true: in
+//! README.md, EXPERIMENTS.md, every page under `docs/` and the `//!`
+//! module docs of the root tests.
 //!
 //! A quoted number is followed, on the same line, by a marker comment
 //! that names its source file and a verbatim fragment of the source
@@ -17,18 +19,48 @@
 
 use std::path::{Path, PathBuf};
 
-/// Documents that quote `results/`: the two top-level reports and
-/// every page under `docs/`.
+/// Documents that quote `results/`: the two top-level reports, every
+/// page under `docs/` and every root test file.
 fn documents(root: &Path) -> Vec<PathBuf> {
     let mut docs = vec![root.join("README.md"), root.join("EXPERIMENTS.md")];
-    let mut pages: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
-        .expect("docs/ is readable")
-        .map(|e| e.expect("docs/ entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "md"))
-        .collect();
-    pages.sort();
-    docs.extend(pages);
+    for (dir, extension) in [("docs", "md"), ("tests", "rs")] {
+        let mut pages: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+            .unwrap_or_else(|e| panic!("{dir}/ is not readable: {e}"))
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == extension))
+            .collect();
+        pages.sort();
+        docs.extend(pages);
+    }
     docs
+}
+
+/// The text of `doc` that quotes: all of a Markdown page, and of a Rust
+/// file the `//!` lines outside code blocks (other lines are blanked,
+/// so line numbers still match).
+fn quoting_text(doc: &Path) -> String {
+    let text = std::fs::read_to_string(doc).expect("document is readable");
+    if doc.extension().is_none_or(|x| x != "rs") {
+        return text;
+    }
+    let mut in_code = false;
+    text.lines()
+        .map(|l| {
+            let Some(doc_line) = l.trim_start().strip_prefix("//!") else {
+                return "";
+            };
+            if doc_line.trim_start().starts_with("```") {
+                in_code = !in_code;
+                return "";
+            }
+            if in_code {
+                ""
+            } else {
+                doc_line
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// One marker: where it sits, what it points at, what it quotes.
@@ -137,8 +169,7 @@ fn quoted_numbers_match_their_results_files() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut failures = Vec::new();
     for doc in documents(root) {
-        let text = std::fs::read_to_string(&doc).expect("document is readable");
-        for m in markers(&text) {
+        for m in markers(&quoting_text(&doc)) {
             if let Some(why) = violation(root, &m) {
                 failures.push(format!("{}:{}: {why}", doc.display(), m.line));
             }
@@ -186,4 +217,19 @@ fn a_drifted_quote_or_fragment_is_caught() {
     assert_eq!(range[0].quoted.as_deref(), Some("1.5"));
     assert_eq!(range[1].quoted.as_deref(), Some(quoted.as_str()));
     assert_eq!(numbers("1.0640e-7 s, 74LS47"), ["1.0640e-7", "74", "47"]);
+}
+
+#[test]
+fn rust_module_docs_are_scanned() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = root.join("tests/figures_regression.rs");
+    assert!(documents(root).contains(&doc));
+    let text = quoting_text(&doc);
+    assert!(
+        markers(&text).iter().any(|m| m.file == "results/fig7.txt"),
+        "the Fig. 7 quote in {} is not marked",
+        doc.display()
+    );
+    // Only `//!` lines count: a marker in code or a `///` comment does not.
+    assert!(!text.contains("fn "));
 }

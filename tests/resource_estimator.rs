@@ -4,7 +4,9 @@
 //! Allocation bytes are the deterministic proxy for RSS — every byte
 //! the estimator accounts is resident by construction, while the
 //! process-level number is page-granular and allocator-noisy at these
-//! circuit sizes.
+//! circuit sizes. The dense term prices the build's peak, `C⁻¹` and its
+//! LU factor; `tests/build_memory.rs` checks the whole estimate against
+//! the peak a build really allocates.
 
 use semsim::core::resource::ResourceEstimate;
 use semsim::logic::{elaborate, SetLogicParams};
@@ -33,7 +35,8 @@ fn predict_within_20pct_on_circuit_examples() {
         assert_eq!(predicted.islands, measured.islands, "{name}");
         assert_eq!(predicted.leads, measured.leads, "{name}");
         assert_eq!(predicted.junctions, measured.junctions, "{name}");
-        // Dense blocks depend only on counts: exact.
+        // The build-peak dense blocks depend only on the island count:
+        // exact.
         assert_eq!(
             predicted.dense_matrix_bytes, measured.dense_matrix_bytes,
             "{name}"
