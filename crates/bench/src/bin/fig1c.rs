@@ -15,6 +15,7 @@ use semsim_bench::args::Args;
 use semsim_bench::devices::{fig1_set, fig1c_params};
 use semsim_core::batch::{batch_sweep, BatchOpts};
 use semsim_core::engine::{linspace, SimConfig};
+use semsim_core::superconduct::QpRateTable;
 use semsim_core::CoreError;
 
 fn main() -> Result<(), CoreError> {
@@ -31,6 +32,10 @@ fn main() -> Result<(), CoreError> {
     let config = SimConfig::new(0.05)
         .with_seed(seed)
         .with_superconducting(fig1c_params()?);
+    // Every point simulates the same circuit at the same (gap,
+    // temperature): one quasi-particle table serves them all.
+    let table = QpRateTable::for_circuit(&dev.circuit, &config)?;
+    let config = config.with_qp_table(table);
     let biases = linspace(-0.04, 0.04, points);
     let gate_voltages = [0.0, 0.01, 0.02, 0.03];
 

@@ -12,7 +12,9 @@
 //! written to `results/BENCH_hotpath.json`, and the final stdout line
 //! `hotpath-speedup-largest: X.XX` is the CI gate quantity: the
 //! optimized-over-dense events/sec ratio on the largest measured
-//! benchmark, expected ≥ 12.
+//! benchmark, expected ≥ 18. Each row also prints the optimized
+//! side's island potentials updated per event
+//! (`AdaptiveStats::potential_updates`).
 //!
 //! The harness also re-asserts sweep bit-identity on the Fig. 1 SET:
 //! a serial I–V sweep under the optimized solver must match the
@@ -106,8 +108,8 @@ fn main() {
     params.temperature = args.f64_or("temp", params.temperature);
     println!("# hotpath — serial events/sec, adaptive solver vs dense-reference");
     println!(
-        "# {:<16} {:>6} {:>6} {:>12} {:>12} {:>8}",
-        "benchmark", "junc", "isl", "opt(ev/s)", "dense(ev/s)", "speedup"
+        "# {:<16} {:>6} {:>6} {:>12} {:>12} {:>8} {:>9}",
+        "benchmark", "junc", "isl", "opt(ev/s)", "dense(ev/s)", "speedup", "upd/event"
     );
 
     let benches: Vec<Benchmark> = Benchmark::all()
@@ -181,19 +183,21 @@ fn main() {
         let speedup = pair.speedup();
         let junc = b.target_junctions();
         println!(
-            "{:<18} {:>6} {:>6} {:>12.0} {:>12.0} {:>7.2}x",
+            "{:<18} {:>6} {:>6} {:>12.0} {:>12.0} {:>7.2}x {:>9.1}",
             b.name(),
             junc,
             elab.circuit.num_islands(),
             pair.opt.events_per_sec(),
             pair.dense.events_per_sec(),
             speedup,
+            pair.opt.updates_per_event,
         );
         rows.push(format!(
             concat!(
                 "    {{\"name\": \"{}\", \"junctions\": {}, \"islands\": {},\n",
                 "     \"optimized\": {{\"events_per_sec\": {:.6e}, ",
-                "\"wall_per_event\": {:.6e}, \"recalcs_per_event\": {:.6e}}},\n",
+                "\"wall_per_event\": {:.6e}, \"recalcs_per_event\": {:.6e}, ",
+                "\"potential_updates_per_event\": {:.6e}}},\n",
                 "     \"dense\": {{\"events_per_sec\": {:.6e}, ",
                 "\"wall_per_event\": {:.6e}, \"recalcs_per_event\": {:.6e}}},\n",
                 "     \"speedup\": {:.4}}}"
@@ -204,6 +208,7 @@ fn main() {
             pair.opt.events_per_sec(),
             pair.opt.wall_per_event,
             pair.opt.recalcs_per_event,
+            pair.opt.updates_per_event,
             pair.dense.events_per_sec(),
             pair.dense.wall_per_event,
             pair.dense.recalcs_per_event,

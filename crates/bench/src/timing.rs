@@ -82,6 +82,10 @@ pub struct RunCost {
     pub wall_per_event: f64,
     /// First-order rate recalculations per event.
     pub recalcs_per_event: f64,
+    /// Island potentials an event updates, on average
+    /// (`AdaptiveStats::potential_updates`; 0 for the non-adaptive
+    /// solver).
+    pub updates_per_event: f64,
 }
 
 impl RunCost {
@@ -104,6 +108,13 @@ struct Sampler<'a> {
     best_wall: f64,
     events: u64,
     recalcs: u64,
+    /// Cumulative potential updates after the warmup.
+    updates_start: u64,
+}
+
+/// Cumulative potential updates a record reports (0 when not adaptive).
+fn potential_updates(record: &Record) -> u64 {
+    record.adaptive_stats.map_or(0, |s| s.potential_updates)
 }
 
 impl<'a> Sampler<'a> {
@@ -118,13 +129,14 @@ impl<'a> Sampler<'a> {
     {
         let mut sim = Simulation::new(circuit, config.clone())?;
         setup(&mut sim)?;
-        sim.run(RunLength::Events(warmup))?;
+        let warm = sim.run(RunLength::Events(warmup))?;
         Ok(Sampler {
             sim,
             records: Vec::new(),
             best_wall: f64::INFINITY,
             events: 0,
             recalcs: 0,
+            updates_start: potential_updates(&warm),
         })
     }
 
@@ -141,9 +153,14 @@ impl<'a> Sampler<'a> {
     }
 
     fn cost(&self) -> RunCost {
+        let updates = self
+            .records
+            .last()
+            .map_or(0, |r| potential_updates(r) - self.updates_start);
         RunCost {
             wall_per_event: self.best_wall,
             recalcs_per_event: self.recalcs as f64 / self.events.max(1) as f64,
+            updates_per_event: updates as f64 / self.events.max(1) as f64,
         }
     }
 }

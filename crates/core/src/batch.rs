@@ -686,14 +686,26 @@ fn open_journal<T: JournalItem>(
     Ok((Some(journal), restored))
 }
 
-/// Adaptive trajectory definition 2: island reads are plain loads.
-/// Definition 1 replaced a potential read more than `num_islands`
-/// events after its previous read with a truncated `C⁻¹` row product;
-/// this word makes its journals fail with `JournalMismatch` rather than
-/// restore different numbers. Non-adaptive fingerprints omit it.
-const ADAPTIVE_TRAJECTORY: u32 = 2;
+/// Adaptive trajectory definition 3: an event updates the potentials of
+/// the islands its truncated `C⁻¹` columns store, and a refresh is the
+/// sparse `C⁻¹·q̃`. Definition 2 updated every island over dense
+/// columns; definition 1 replaced a potential read more than
+/// `num_islands` events after its previous read with a truncated `C⁻¹`
+/// row product. This word makes their journals fail with
+/// `JournalMismatch` rather than restore different numbers.
+/// Non-adaptive fingerprints omit it.
+const ADAPTIVE_TRAJECTORY: u32 = 3;
+
+/// `C⁻¹` definition 1: the truncated inverse of a minimum-degree
+/// `L·D·Lᵀ` factor of `C`. Before it, `C⁻¹` was the dense inverse of an
+/// LU factor and no word was written. Every solver reads `C⁻¹`, so every
+/// fingerprint carries it: a journal written under the dense inverse
+/// fails with `JournalMismatch` rather than restore points a
+/// multi-island circuit would not reproduce.
+const CINV_DEFINITION: u32 = 1;
 
 fn fingerprint_config(w: &mut Writer, config: &SimConfig) {
+    w.u32(CINV_DEFINITION);
     w.f64(config.temperature);
     match config.solver {
         SolverSpec::NonAdaptive => {
@@ -1391,36 +1403,32 @@ mod tests {
 
     #[test]
     fn fingerprints_pin_the_trajectory_definition() {
-        // Recorded from the binary before adaptive definition 2: the
-        // non-adaptive fingerprint is unchanged, so journals written by
-        // that binary still resume; the adaptive one must differ, so
-        // its journals are refused.
+        // Recorded from the binary before `C⁻¹` definition 1 (dense LU
+        // inverse, adaptive definition 2): every solver's fingerprint
+        // must differ, so journals written by that binary are refused.
         let j = JunctionId(0);
         let policy = RetryPolicy::default();
         let nonadaptive = SimConfig::new(4.2).with_seed(3);
-        assert_eq!(
-            sweep_fingerprint(&nonadaptive, j, &[0.1, 0.2], 10, 100, &policy),
-            0xb3b0_26cd_a48f_4afd
-        );
         for (solver, before) in [
+            (SolverSpec::NonAdaptive, 0xb3b0_26cd_a48f_4afd),
             (
                 SolverSpec::Adaptive {
                     threshold: 0.05,
                     refresh_interval: 500,
                 },
-                0x1ecf_2e2a_fa26_73aa,
+                0x4f11_a85c_1d1b_59bc,
             ),
             (
                 SolverSpec::AdaptiveDense {
                     threshold: 0.05,
                     refresh_interval: 500,
                 },
-                0xa99d_1aae_47f3_73ed,
+                0x81e6_35f0_b993_0d1b,
             ),
         ] {
-            let adaptive = nonadaptive.clone().with_solver(solver);
+            let config = nonadaptive.clone().with_solver(solver);
             assert_ne!(
-                sweep_fingerprint(&adaptive, j, &[0.1, 0.2], 10, 100, &policy),
+                sweep_fingerprint(&config, j, &[0.1, 0.2], 10, 100, &policy),
                 before,
                 "{solver:?}"
             );

@@ -24,10 +24,11 @@
 //! Decoding rejects truncated or bit-flipped streams with
 //! [`CoreError::CheckpointCorrupt`](crate::CoreError).
 //!
-//! Version 2 keeps version 1's layout. Version 1 snapshots come from an
-//! adaptive solver that computed some island reads differently, and
-//! resuming one would continue a trajectory neither solver produces, so
-//! they are refused.
+//! Version 3 appends the adaptive solver's potential-update counter to
+//! version 2's layout. Versions 1 and 2 come from builds whose `C⁻¹`
+//! (version 2: a dense inverse of an LU factor) or island reads
+//! (version 1) differ, and resuming one would continue a trajectory
+//! neither solver produces, so they are refused.
 
 use crate::engine::Stimulus;
 use crate::solver::AdaptiveStats;
@@ -37,7 +38,7 @@ use crate::CoreError;
 const MAGIC: &[u8; 8] = b"SEMSIMCP";
 
 /// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A decoded probe snapshot: node index, sampling period, samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,6 +166,7 @@ impl Checkpoint {
                 w.u64(stats.junctions_tested);
                 w.u64(stats.rate_recalcs);
                 w.u64(stats.full_refreshes);
+                w.u64(stats.potential_updates);
             }
         }
         let checksum = fnv1a64(&w.buf);
@@ -262,6 +264,7 @@ impl Checkpoint {
                     junctions_tested: r.u64("junctions tested")?,
                     rate_recalcs: r.u64("rate recalcs")?,
                     full_refreshes: r.u64("full refreshes")?,
+                    potential_updates: r.u64("potential updates")?,
                 },
             },
             _ => {
@@ -426,6 +429,7 @@ mod tests {
                     junctions_tested: 40_000,
                     rate_recalcs: 9_000,
                     full_refreshes: 20,
+                    potential_updates: 1_500_000,
                 },
             },
         }
@@ -510,19 +514,21 @@ mod tests {
     }
 
     #[test]
-    fn version_one_is_refused() {
-        let mut bytes = sample().encode();
-        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
-        assert!(matches!(
-            Checkpoint::decode(&bytes),
-            Err(CoreError::CheckpointCorrupt {
-                what: "unsupported version"
-            })
-        ));
+    fn versions_one_and_two_are_refused() {
+        for old in [1u32, 2] {
+            let mut bytes = sample().encode();
+            assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let body_len = bytes.len() - 8;
+            let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
+            bytes[body_len..].copy_from_slice(&sum);
+            assert!(matches!(
+                Checkpoint::decode(&bytes),
+                Err(CoreError::CheckpointCorrupt {
+                    what: "unsupported version"
+                })
+            ));
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! junctions and ordinary capacitors. Nodes are either **leads**
 //! (fixed-potential terminals driven by voltage sources — the paper's
 //! `vdc` entries) or **islands** (charge-quantized conductors). At build
-//! time the island-block capacitance matrix `C` is assembled and inverted
-//! once; the Monte Carlo solvers then only ever read `C⁻¹` (the paper's
-//! Eq. 2), stored once by column, and the island–lead coupling block.
+//! time the island-block capacitance matrix `C` is assembled sparse,
+//! factored once as `L·D·Lᵀ` in minimum-degree order, and inverted column
+//! by column into one truncated sparse store; the Monte Carlo solvers
+//! then only ever read that `C⁻¹` (the paper's Eq. 2) and the
+//! island–lead coupling block. No `islands × islands` block is formed.
 
-use semsim_linalg::Matrix;
+use semsim_linalg::{Matrix, SparseColumn, SparseColumns, SymmetricMatrix};
 
 use crate::constants::E_CHARGE;
 use crate::CoreError;
@@ -101,9 +103,9 @@ pub(crate) struct JunctionSoA {
     pub charging_fw: Vec<f64>,
     /// Backward charging coefficient per junction:
     /// `C⁻¹_bb + C⁻¹_aa − 2·C⁻¹_ba`. Kept separately from
-    /// `charging_fw` because the LU-derived `C⁻¹` is only symmetric to
-    /// rounding, and bit-identity demands the exact per-direction
-    /// entries.
+    /// `charging_fw` because each stored `C⁻¹` column is its own solve,
+    /// symmetric to the other orientation only to rounding, and
+    /// bit-identity demands the exact per-direction entries.
     pub charging_bw: Vec<f64>,
     /// Normal-state tunnel resistance (Ω) per junction.
     pub resistance: Vec<f64>,
@@ -264,7 +266,7 @@ impl CircuitBuilder {
         }
     }
 
-    /// Finalizes the circuit: assembles and inverts the island
+    /// Finalizes the circuit: assembles, factors and inverts the island
     /// capacitance matrix and precomputes adjacency used by the solvers.
     ///
     /// # Errors
@@ -293,12 +295,17 @@ pub struct Circuit {
     /// Diagonal of the island capacitance matrix `C`: each island's
     /// total capacitance. `C` itself is not kept.
     island_capacitance: Vec<f64>,
-    /// The paper's `C⁻¹`, stored by column: row `c` holds column `c`, so
-    /// an event reads each column it needs as one contiguous slice. The
-    /// LU-derived `C⁻¹` is symmetric only to rounding, so this is the one
+    /// The paper's `C⁻¹`, truncated and stored sparse by column
+    /// ([`semsim_linalg::LdlFactor::truncated_inverse`] at
+    /// [`Circuit::COUPLING_EPS`]). Each column is its own solve, so the
+    /// store is symmetric only to rounding, and this is the one
     /// orientation every reader uses: entry `(r, c)` is entry `r` of
-    /// stored column `c` ([`Circuit::cinv`]).
-    cinv_columns: Matrix,
+    /// stored column `c` ([`Circuit::cinv`]), zero when dropped.
+    cinv: SparseColumns,
+    /// The diagonal of the stored `C⁻¹`, dense: the entry every
+    /// single-island charging term reads, in one load instead of a
+    /// search of its column.
+    cinv_diagonal: Vec<f64>,
     /// Island–lead coupling block (islands × leads).
     cext: Matrix,
     /// `C⁻¹ · C_ext` by lead: row `l` is the potential response of every
@@ -312,7 +319,7 @@ pub struct Circuit {
     /// i.e. junctions with a terminal island `k` such that
     /// `|C⁻¹[island,k]|` exceeds [`Circuit::COUPLING_EPS`] of the
     /// island's own diagonal. The adaptive solver walks these flat
-    /// lists per event instead of scanning dense `C⁻¹` rows.
+    /// lists per event instead of scanning `C⁻¹` per junction.
     island_dependents: Vec<Vec<JunctionId>>,
     /// Dependency neighbourhood of each lead: junctions touching the
     /// lead node plus junctions on islands whose potential responds to
@@ -344,15 +351,13 @@ impl Circuit {
         }
 
         let (cmatrix, cext) = assemble(&b.nodes, &b.junctions, &b.capacitors);
-        let island_capacitance = (0..n_islands).map(|i| cmatrix.get(i, i)).collect();
-        // The factor copies `C`; `C` goes before the inverse is
-        // allocated, and the factor when the inverse is done, so the
-        // build holds at most two n×n blocks and keeps one.
-        let lu = cmatrix.lu().map_err(CoreError::FloatingIsland)?;
+        let island_capacitance = cmatrix.diagonal().to_vec();
+        let factor = cmatrix.ldl().map_err(CoreError::FloatingIsland)?;
         drop(cmatrix);
-        let cinv_columns = lu.inverse_columns().map_err(CoreError::FloatingIsland)?;
-        drop(lu);
-        let lead_response = lead_response(&cinv_columns, &cext);
+        let cinv = factor.truncated_inverse(Self::COUPLING_EPS);
+        drop(factor);
+        let cinv_diagonal = (0..n_islands).map(|i| cinv.get(i, i)).collect();
+        let lead_response = lead_response(&cinv, &cext);
 
         // Node-level incidence.
         let mut node_junctions: Vec<Vec<JunctionId>> = vec![Vec::new(); n_nodes];
@@ -370,7 +375,8 @@ impl Circuit {
             junctions: b.junctions,
             capacitors: b.capacitors,
             island_capacitance,
-            cinv_columns,
+            cinv,
+            cinv_diagonal,
             cext,
             lead_response,
             node_junctions,
@@ -410,16 +416,17 @@ impl Circuit {
         // predicates the dense-reference solver mode evaluates per event
         // accept, in ascending order, which is what makes the optimized
         // solver bit-identical to the reference. `near[i]` lists the
-        // islands `k` with `|C⁻¹[i][k]| ≥ ε·|C⁻¹[i][i]|`, found column by
-        // column so the scan reads `C⁻¹` contiguously; island `i`'s
-        // dependents are the junctions at those islands, each list
-        // allocated at its final length.
+        // islands `k` with `|C⁻¹[i][k]| ≥ ε·|C⁻¹[i][i]|`, found over the
+        // stored columns (a dropped entry is below `ε` of both its
+        // diagonals, so it fails this test too); island `i`'s dependents
+        // are the junctions at those islands, each list allocated at its
+        // final length.
         let tol: Vec<f64> = (0..n_islands)
             .map(|i| Self::COUPLING_EPS * circuit.cinv(i, i).abs())
             .collect();
         let mut near = vec![Vec::new(); n_islands];
         for k in 0..n_islands {
-            for (i, x) in circuit.cinv_column(k).iter().enumerate() {
+            for (i, x) in circuit.cinv_column(k).iter() {
                 if x.abs() >= tol[i] {
                     near[i].push(k);
                 }
@@ -539,33 +546,54 @@ impl Circuit {
         &self.capacitors
     }
 
-    /// The island capacitance matrix `C`, assembled on demand from the
-    /// element lists with the build's own assembly; the circuit does not
-    /// keep it.
+    /// A dense copy of the island capacitance matrix `C`, assembled on
+    /// demand from the element lists with the build's own assembly; the
+    /// circuit does not keep it.
     pub fn capacitance_matrix(&self) -> Matrix {
-        assemble(&self.nodes, &self.junctions, &self.capacitors).0
+        assemble(&self.nodes, &self.junctions, &self.capacitors)
+            .0
+            .to_dense()
     }
 
     /// Entry `(r, c)` of the inverse island capacitance matrix `C⁻¹`
-    /// (paper Eq. 2): entry `r` of [`Circuit::cinv_column`]`(c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `c` is not an island index.
-    #[inline]
-    pub fn cinv(&self, r: usize, c: usize) -> f64 {
-        self.cinv_columns.get(c, r)
-    }
-
-    /// Column `c` of `C⁻¹`, contiguous: entry `r` is `C⁻¹[r][c]`, the
-    /// potential change of island `r` per coulomb added to island `c`.
+    /// (paper Eq. 2): entry `r` of [`Circuit::cinv_column`]`(c)`, and
+    /// `0.0` for an entry the truncation dropped.
     ///
     /// # Panics
     ///
     /// Panics if `c` is not an island index.
     #[inline]
-    pub fn cinv_column(&self, c: usize) -> &[f64] {
-        self.cinv_columns.row(c)
+    pub fn cinv(&self, r: usize, c: usize) -> f64 {
+        if r == c {
+            self.cinv_diagonal[c]
+        } else {
+            self.cinv_off_diagonal(r, c)
+        }
+    }
+
+    /// An off-diagonal entry of the stored `C⁻¹`: a search of column
+    /// `c`, kept out of line so that the diagonal reads inline cheaply.
+    #[inline(never)]
+    fn cinv_off_diagonal(&self, r: usize, c: usize) -> f64 {
+        self.cinv.get(r, c)
+    }
+
+    /// Column `c` of the truncated `C⁻¹`: its kept rows, ascending, and
+    /// their values. Entry `r` is `C⁻¹[r][c]`, the potential change of
+    /// island `r` per coulomb added to island `c`. Every kept entry is
+    /// nonzero, and the diagonal is always kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not an island index.
+    #[inline]
+    pub fn cinv_column(&self, c: usize) -> SparseColumn<'_> {
+        self.cinv.column(c)
+    }
+
+    /// The whole truncated `C⁻¹` store.
+    pub(crate) fn cinv_store(&self) -> &SparseColumns {
+        &self.cinv
     }
 
     /// The island–lead coupling block `C_ext`.
@@ -610,11 +638,14 @@ impl Circuit {
     }
 
     /// Relative threshold below which a `C⁻¹` (or lead-response)
-    /// coupling is treated as zero when building dependency
-    /// neighbourhoods: the adaptive solver does not test a junction
-    /// whose `ΔW` an event moves by less than this. Potentials are
-    /// never truncated; a skipped junction's rates catch up at the next
-    /// full refresh.
+    /// coupling is treated as zero. The stored `C⁻¹` keeps entry
+    /// `(i, k)` only when `|C⁻¹[i][k]| ≥ COUPLING_EPS·min(C⁻¹[i][i],
+    /// C⁻¹[k][k])`, so an event moves island `i`'s potential by at most
+    /// `2·|count|·COUPLING_EPS·e·C⁻¹[i][i]` less than the full inverse
+    /// would (docs/performance.md states the bounds). The adaptive
+    /// solver does not test a junction whose `ΔW` an event moves by less
+    /// than this; a skipped junction's rates catch up at the next full
+    /// refresh.
     pub const COUPLING_EPS: f64 = 1e-8;
 
     /// Does junction `j`'s free energy depend (above
@@ -675,20 +706,22 @@ impl Circuit {
     }
 }
 
-/// Assembles the island capacitance matrix `C` (islands × islands) and
-/// the island–lead coupling block `C_ext` (islands × leads) from every
-/// capacitive element, junctions first, in declaration order.
+/// Assembles the island capacitance matrix `C` (islands × islands,
+/// sparse) and the island–lead coupling block `C_ext` (islands × leads)
+/// from every capacitive element, junctions first, in declaration
+/// order. Each entry of `C` sums its elements from `0.0` in that order.
 fn assemble(
     nodes: &[NodeKind],
     junctions: &[Junction],
     capacitors: &[Capacitor],
-) -> (Matrix, Matrix) {
+) -> (SymmetricMatrix, Matrix) {
     let n_leads = nodes
         .iter()
         .filter(|k| matches!(k, NodeKind::Lead(_)))
         .count();
     let n_islands = nodes.len() - n_leads;
-    let mut cmatrix = Matrix::zeros(n_islands, n_islands);
+    let mut diagonal = vec![0.0; n_islands];
+    let mut coupling = Vec::new();
     let mut cext = Matrix::zeros(n_islands, n_leads);
     let caps = junctions
         .iter()
@@ -701,13 +734,12 @@ fn assemble(
     for (na, nb, c) in caps {
         match (nodes[na.0], nodes[nb.0]) {
             (NodeKind::Island(i), NodeKind::Island(j)) => {
-                cmatrix.add_to(i, i, c);
-                cmatrix.add_to(j, j, c);
-                cmatrix.add_to(i, j, -c);
-                cmatrix.add_to(j, i, -c);
+                diagonal[i] += c;
+                diagonal[j] += c;
+                coupling.push((i, j, -c));
             }
             (NodeKind::Island(i), NodeKind::Lead(l)) | (NodeKind::Lead(l), NodeKind::Island(i)) => {
-                cmatrix.add_to(i, i, c);
+                diagonal[i] += c;
                 cext.add_to(i, l, c);
             }
             // A capacitor between two fixed-potential terminals does
@@ -715,30 +747,24 @@ fn assemble(
             (NodeKind::Lead(_), NodeKind::Lead(_)) => {}
         }
     }
-    (cmatrix, cext)
+    (SymmetricMatrix::from_entries(diagonal, &coupling), cext)
 }
 
-/// `C⁻¹·C_ext` by lead, from `C⁻¹` stored by column: row `l` of the
-/// result is column `l` of the product. Each entry sums
-/// `C⁻¹[i][k]·C_ext[k][l]` in ascending `k` from `+0` and skips the
-/// terms whose `C⁻¹` entry is zero, as [`Matrix::mul`] does, so it is
-/// bitwise that product. When `C⁻¹` is finite, a zero `C_ext` entry
-/// makes every term of its column an exact `±0`, which cannot change a
-/// sum that is never `−0`, so the column is skipped.
-fn lead_response(cinv_columns: &Matrix, cext: &Matrix) -> Matrix {
+/// `C⁻¹·C_ext` by lead, from the truncated `C⁻¹`: row `l` of the result
+/// is column `l` of the product. Each entry sums `C⁻¹[i][k]·C_ext[k][l]`
+/// from `+0` over the stored columns `k` in ascending order, skipping
+/// the columns whose `C_ext` entry is zero.
+fn lead_response(cinv: &SparseColumns, cext: &Matrix) -> Matrix {
     let (n_islands, n_leads) = (cext.rows(), cext.cols());
-    let finite = cinv_columns.as_slice().iter().all(|a| a.is_finite());
     let mut response = Matrix::zeros(n_leads, n_islands);
     for l in 0..n_leads {
         for k in 0..n_islands {
             let b = cext.get(k, l);
-            if b == 0.0 && finite {
+            if b == 0.0 {
                 continue;
             }
-            for (i, &a) in cinv_columns.row(k).iter().enumerate() {
-                if a != 0.0 {
-                    response.add_to(l, i, a * b);
-                }
+            for (i, a) in cinv.column(k).iter() {
+                response.add_to(l, i, a * b);
             }
         }
     }

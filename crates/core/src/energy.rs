@@ -36,12 +36,12 @@ pub struct CircuitState {
     electrons: Vec<i64>,
     /// Instantaneous lead voltages (V).
     lead_voltages: Vec<f64>,
-    /// Cached island potentials (V), exact after every event: both
-    /// solvers add each event's exact delta to every island, and a read
-    /// is a plain load. They differ only in when every value is
-    /// re-derived from the charges with `C⁻¹·q̃` (the non-adaptive
-    /// solver periodically, the adaptive solver at each full refresh),
-    /// so their values differ in rounding.
+    /// Cached island potentials (V), current after every event: both
+    /// solvers add each event's delta over the truncated `C⁻¹` columns
+    /// it disturbs, and a read is a plain load. They differ only in when
+    /// every value is re-derived from the charges with `C⁻¹·q̃` (the
+    /// non-adaptive solver periodically, the adaptive solver at each
+    /// full refresh), so their values differ in rounding.
     pub(crate) phi: Vec<f64>,
     /// Reusable buffer for charge-vector assembly — keeps potential
     /// refreshes allocation-free on the event loop's hot path.
@@ -97,7 +97,8 @@ impl CircuitState {
         q
     }
 
-    /// Recomputes all island potentials exactly: `φ = C⁻¹·q̃`.
+    /// Recomputes all island potentials from the charges: `φ = C⁻¹·q̃`
+    /// over the stored (truncated) `C⁻¹`.
     /// Allocation-free: assembles q̃ into the reusable scratch buffer
     /// and multiplies into the existing `phi` storage.
     pub fn recompute_potentials(&mut self, circuit: &Circuit) {
@@ -174,16 +175,16 @@ fn fill_charge_vector(
     }));
 }
 
-/// `C⁻¹·q` into `out`, accumulated column by column in ascending column
-/// order from `−0.0`. Each entry takes the terms of `dot(row, q)` in
-/// that function's order and from its start value (an f64 `Sum` starts
-/// at `−0.0`), so it is bitwise the row-by-row product.
+/// `C⁻¹·q` into `out` over the truncated `C⁻¹`: a sparse matvec,
+/// accumulated column by column in ascending column order from `−0.0`.
+/// Island `i` takes the terms of its kept entries only; the dropped ones
+/// sum to at most `COUPLING_EPS·C⁻¹[i][i]·‖q‖₁` in magnitude.
 fn cinv_product(circuit: &Circuit, q: &[f64], out: &mut Vec<f64>) {
     out.clear();
     out.resize(circuit.num_islands(), -0.0);
     for (k, &qk) in q.iter().enumerate() {
-        for (o, &x) in out.iter_mut().zip(circuit.cinv_column(k)) {
-            *o += x * qk;
+        for (i, x) in circuit.cinv_column(k).iter() {
+            out[i] += x * qk;
         }
     }
 }
@@ -212,12 +213,12 @@ pub fn delta_w(
     ke * (phi_from - phi_to) + 0.5 * ke * ke * charging
 }
 
-/// Exact change of an island's potential caused by moving `count`
-/// electrons from `from` to `to`: `δφ_k = k·e·(C⁻¹_{k,from} −
-/// C⁻¹_{k,to})` (lead terms are zero). Potentials are linear in the
-/// island charges, so these per-event deltas are exact, which is what
-/// lets the adaptive solver accumulate them without approximation error
-/// in the potentials themselves.
+/// Change of an island's potential caused by moving `count` electrons
+/// from `from` to `to`: `δφ_k = k·e·(C⁻¹_{k,from} − C⁻¹_{k,to})` over
+/// the stored `C⁻¹` (lead terms, and dropped entries, are zero).
+/// Potentials are linear in the island charges, so the deltas add up to
+/// the stored `C⁻¹·q̃` up to rounding, which is what lets the solvers
+/// accumulate them between refreshes.
 #[inline]
 pub fn potential_delta(
     circuit: &Circuit,

@@ -330,16 +330,6 @@ impl<'c> Simulation<'c> {
             None => (TunnelModel::Normal, None),
             Some(params) => {
                 let gap = gap_at(params, config.temperature);
-                let w_max = config.qp_table_range.unwrap_or_else(|| {
-                    let v_scale = circuit
-                        .initial_lead_voltages()
-                        .iter()
-                        .fold(10e-3_f64, |m, v| m.max(v.abs()));
-                    let ec_max = (0..circuit.num_islands())
-                        .map(|i| 0.5 * E_CHARGE * E_CHARGE * circuit.cinv(i, i))
-                        .fold(0.0_f64, f64::max);
-                    4.0 * gap + 40.0 * kt + 8.0 * ec_max + 4.0 * E_CHARGE * v_scale
-                });
                 let table = match &config.qp_table {
                     Some(t) => {
                         if (t.gap() - gap).abs() > 1e-6 * gap.max(1e-30)
@@ -352,7 +342,7 @@ impl<'c> Simulation<'c> {
                         }
                         t.clone()
                     }
-                    None => QpRateTable::build(gap, kt, w_max)?,
+                    None => QpRateTable::for_circuit(circuit, &config)?,
                 };
                 let ej: Vec<f64> = circuit
                     .junctions()

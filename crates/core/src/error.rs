@@ -316,12 +316,12 @@ mod tests {
         let e = CoreError::ResourceBudget {
             required: 2048,
             limit: 1024,
-            breakdown: "C⁻¹ and its LU factor 1.0 KiB".to_string(),
+            breakdown: "C⁻¹ 1.0 KiB".to_string(),
         };
         assert_eq!(
             e.to_string(),
             "resource budget exceeded: circuit needs an estimated \
-             2048 bytes but the limit is 1024 bytes (C⁻¹ and its LU factor 1.0 KiB)"
+             2048 bytes but the limit is 1024 bytes (C⁻¹ 1.0 KiB)"
         );
         let w = CoreError::JournalWriteFailed {
             message: "sweep.jl: No space left on device (os error 28)".to_string(),

@@ -1,8 +1,11 @@
 //! The adaptive solver's hot-loop kernels: flat loops over the
 //! structure-of-arrays junction buffers ([`JunctionSoA`]) and over the
-//! island potentials, reading the event's contiguous `C⁻¹` or
-//! lead-response columns ([`Circuit::cinv_column`],
-//! [`Circuit::lead_response`]).
+//! island potentials, reading the event's sparse `C⁻¹` columns or its
+//! contiguous lead-response column ([`Circuit::cinv_column`],
+//! [`Circuit::lead_response`]). A transfer's per-island potential
+//! delta is computed once, over the union of its two column supports,
+//! into [`EventDelta`]; the potential update adds it and the testing
+//! kernel reads it.
 //!
 //! ## Contract
 //!
@@ -17,10 +20,21 @@
 //!
 //! * a kernel reads entry `(r, c)` from the one stored `C⁻¹` where the
 //!   scalar functions' [`Circuit::cinv`] reads it, entry `r` of column
-//!   `c`, and likewise for the lead response;
+//!   `c` (a dropped entry is `0.0` to both), and likewise for the lead
+//!   response;
+//! * a transfer's delta is `ke·((0.0 + x_f) − x_t)` per island, the
+//!   operands of [`crate::energy::potential_delta`]; the potential
+//!   update adds it to the islands of the two columns' supports, which
+//!   is where the oracle's loop over the stored columns adds it, and an
+//!   island outside them reads `+0.0` in the tests where the oracle's
+//!   `ke·0.0` may be `−0.0` — which changes no testing factor, because
+//!   a factor starts at `+0.0` and so is never `−0.0`;
 //! * per-lane arithmetic replicates the scalar expressions operand for
 //!   operand (the [`JunctionSoA`] charging coefficients are
-//!   precomputed with `delta_w`'s exact operand order);
+//!   precomputed with `delta_w`'s exact operand order; the oracle's
+//!   per-junction rates read the same coefficients, and
+//!   `delta_w_all_matches_scalar_delta_w_bitwise` holds them to
+//!   `delta_w` itself);
 //! * nothing reassociates: per-junction and per-island computations are
 //!   independent, and each island adds one event's delta per call, in
 //!   event order.
@@ -39,23 +53,47 @@ use crate::constants::E_CHARGE;
 use crate::rates::orthodox_rates;
 use crate::solver::{StateChange, TunnelModel};
 
+/// One transfer's potential change per island, computed once: dense
+/// over the islands, nonzero only on the union of the two endpoints'
+/// `C⁻¹` column supports, which `touched` lists. Reused across events.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EventDelta {
+    /// Per island: the last transfer's delta on `touched`, `+0.0`
+    /// elsewhere.
+    delta: Vec<f64>,
+    /// Column `from`'s support, then the islands only column `to`
+    /// stores.
+    touched: Vec<u32>,
+}
+
+impl EventDelta {
+    pub(crate) fn new(n_islands: usize) -> Self {
+        EventDelta {
+            delta: vec![0.0; n_islands],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Zeroes the entries the last transfer touched.
+    fn clear(&mut self) {
+        for &i in &self.touched {
+            self.delta[i as usize] = 0.0;
+        }
+        self.touched.clear();
+    }
+}
+
 /// Potential change of one junction terminal for a transfer, from the
-/// `C⁻¹` columns of the event's endpoints. Replicates
-/// [`crate::energy::potential_delta`] operand for operand.
+/// transfer's [`EventDelta`]. Replicates
+/// [`crate::energy::potential_delta`] operand for operand on the
+/// supports, and gives `+0.0` off them.
 #[inline(always)]
-fn transfer_lane(ke: f64, island: u32, colf: Option<&[f64]>, colt: Option<&[f64]>) -> f64 {
+fn transfer_lane(island: u32, delta: &[f64]) -> f64 {
     if island == JunctionSoA::NONE {
-        return 0.0;
+        0.0
+    } else {
+        delta[island as usize]
     }
-    let k = island as usize;
-    let mut d = 0.0;
-    if let Some(cf) = colf {
-        d += cf[k];
-    }
-    if let Some(ct) = colt {
-        d -= ct[k];
-    }
-    ke * d
 }
 
 /// Potential change of one junction terminal for a lead step, from the
@@ -89,11 +127,14 @@ fn lane_potential(island: u32, lead: u32, phi: &[f64], lead_voltages: &[f64]) ->
 /// `b = b₀ + e·(δφ_a − δφ_b)`; junctions crossing the gate
 /// `|b| ≥ θ·min(|ΔW'_fw|, |ΔW'_bw|)` are appended to `flagged`
 /// (ascending) with `b₀` left untouched for the caller's rate
-/// recompute to reset; unflagged junctions get `b₀ ← b`.
+/// recompute to reset; unflagged junctions get `b₀ ← b`. A transfer
+/// reads its per-island delta from `event`, which
+/// [`potential_update`] filled for the same change.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn test_factors(
     circuit: &Circuit,
     change: StateChange,
+    event: &EventDelta,
     tested: &[JunctionId],
     threshold: f64,
     dw_fw: &[f64],
@@ -113,18 +154,14 @@ pub(crate) fn test_factors(
         }
     };
     match change {
-        StateChange::Transfer { from, to, count } => {
-            // Resolve the two event columns once; every lane then
-            // gathers from these L1-resident slices.
-            let colf = circuit.island_index(from).map(|f| circuit.cinv_column(f));
-            let colt = circuit.island_index(to).map(|t| circuit.cinv_column(t));
-            let ke = count as f64 * E_CHARGE;
+        StateChange::Transfer { .. } => {
+            let delta = &event.delta;
             for &j in tested {
                 let idx = j.index();
                 test(
                     j,
-                    transfer_lane(ke, soa.a_island[idx], colf, colt),
-                    transfer_lane(ke, soa.b_island[idx], colf, colt),
+                    transfer_lane(soa.a_island[idx], delta),
+                    transfer_lane(soa.b_island[idx], delta),
                 );
             }
         }
@@ -180,51 +217,59 @@ pub(crate) fn tunnel_rates(
     }
 }
 
-/// Eager potential update: adds `change`'s exact potential delta to
-/// every island's cached potential `phi`, reading the event's
-/// contiguous columns (the `C⁻¹` columns of a transfer's island
-/// endpoints, or the stepped lead's response column).
+/// Eager potential update: adds `change`'s potential delta to the
+/// cached potential `phi` of every island it reaches, and returns how
+/// many islands that is.
 ///
-/// Per island the delta is operand for operand
-/// [`crate::energy::potential_delta`] /
-/// [`crate::energy::lead_step_delta`]. A lead endpoint keeps the scalar
-/// path's `0.0 + x` / `0.0 − x` forms, and a lead→lead transfer still
-/// adds `ke·0.0` (which can turn a `−0.0` potential into `+0.0`). Each
-/// island therefore receives exactly the oracle's per-island
-/// `node_delta` sum, in event order.
-pub(crate) fn potential_update(circuit: &Circuit, change: StateChange, phi: &mut [f64]) {
+/// A transfer's delta is formed once in `event` (the previous event's
+/// entries are cleared first) over the union of the stored `C⁻¹`
+/// columns of its island endpoints: `(0.0 + x_f) − x_t`, each term
+/// present when its column stores the island, then scaled by `ke`. That
+/// is operand for operand [`crate::energy::potential_delta`], which
+/// reads a dropped entry as `0.0`. Column `f` stores only nonzeros, so
+/// an island the `t` column reaches is new to the union exactly when its
+/// delta is still `+0.0`. A lead→lead transfer reaches no island. A lead
+/// step adds its response column, `x·dv`, to every island, as
+/// [`crate::energy::lead_step_delta`] does. Each island therefore
+/// receives exactly the oracle's per-island `node_delta` sum, in event
+/// order.
+pub(crate) fn potential_update(
+    circuit: &Circuit,
+    change: StateChange,
+    event: &mut EventDelta,
+    phi: &mut [f64],
+) -> usize {
+    event.clear();
     match change {
         StateChange::Transfer { from, to, count } => {
             let ke = count as f64 * E_CHARGE;
-            match (circuit.island_index(from), circuit.island_index(to)) {
-                (Some(f), Some(t)) => {
-                    let (colf, colt) = (circuit.cinv_column(f), circuit.cinv_column(t));
-                    for ((p, &xf), &xt) in phi.iter_mut().zip(colf).zip(colt) {
-                        *p += ke * ((0.0 + xf) - xt);
-                    }
-                }
-                (Some(f), None) => {
-                    for (p, &xf) in phi.iter_mut().zip(circuit.cinv_column(f)) {
-                        *p += ke * (0.0 + xf);
-                    }
-                }
-                (None, Some(t)) => {
-                    for (p, &xt) in phi.iter_mut().zip(circuit.cinv_column(t)) {
-                        *p += ke * (0.0 - xt);
-                    }
-                }
-                (None, None) => {
-                    let d = ke * 0.0;
-                    for p in phi.iter_mut() {
-                        *p += d;
-                    }
+            let EventDelta { delta, touched } = event;
+            if let Some(f) = circuit.island_index(from) {
+                for (i, x) in circuit.cinv_column(f).iter() {
+                    delta[i] += x;
+                    touched.push(i as u32);
                 }
             }
+            if let Some(t) = circuit.island_index(to) {
+                for (i, x) in circuit.cinv_column(t).iter() {
+                    if delta[i] == 0.0 {
+                        touched.push(i as u32);
+                    }
+                    delta[i] -= x;
+                }
+            }
+            for &i in touched.iter() {
+                let d = &mut delta[i as usize];
+                *d *= ke;
+                phi[i as usize] += *d;
+            }
+            touched.len()
         }
         StateChange::LeadStep { lead, dv } => {
             for (p, &x) in phi.iter_mut().zip(circuit.lead_response(lead)) {
                 *p += x * dv;
             }
+            phi.len()
         }
     }
 }
@@ -236,14 +281,17 @@ mod tests {
     use crate::constants::{ev_to_joule, K_B};
     use crate::energy::{delta_w, CircuitState};
     use crate::rates::orthodox_rate;
-    use crate::solver::AdaptiveSolver;
+    use crate::solver::{add_node_deltas, AdaptiveSolver};
     use crate::superconduct::QpRateTable;
 
     /// Eleven coupled islands (a chain with a gate lead and a cross
-    /// capacitor) and fourteen junctions — neither count a multiple of
-    /// 4 or 8, the f64 lane counts of 256- and 512-bit vectors — so
-    /// every kernel exercises island and lead terminals and partial
-    /// vector tails.
+    /// capacitor) plus two isolated SET islands between the supply and
+    /// ground, whose `C⁻¹` couplings to everything else are exactly zero
+    /// and so not stored: thirteen islands and eighteen junctions —
+    /// neither count a multiple of 4 or 8, the f64 lane counts of 256-
+    /// and 512-bit vectors — so every kernel exercises island and lead
+    /// terminals, column supports that miss islands, and partial vector
+    /// tails.
     fn rig() -> Circuit {
         let mut b = CircuitBuilder::new();
         let vdd = b.add_lead(8e-3);
@@ -265,6 +313,12 @@ mod tests {
                 .unwrap();
         }
         b.add_capacitor(islands[1], islands[7], 0.5e-18).unwrap();
+        for _ in 0..2 {
+            let isolated = b.add_island_with_charge(0.3);
+            b.add_junction(vdd, isolated, 1e6, 1e-18).unwrap();
+            b.add_junction(isolated, NodeId::GROUND, 1e6, 2e-18)
+                .unwrap();
+        }
         b.build().unwrap()
     }
 
@@ -291,8 +345,19 @@ mod tests {
                 to: NodeId(1),
                 count: 1,
             },
+            StateChange::Transfer {
+                from: i(11),
+                to: i(3),
+                count: 1,
+            },
+            StateChange::Transfer {
+                from: i(12),
+                to: NodeId::GROUND,
+                count: -1,
+            },
             StateChange::LeadStep { lead: 1, dv: 3e-3 },
             StateChange::LeadStep { lead: 2, dv: -2e-3 },
+            StateChange::LeadStep { lead: 2, dv: 1e-3 },
         ]
     }
 
@@ -329,9 +394,12 @@ mod tests {
                     }
                 }
                 let (mut b0, mut flagged) = (fresh_b0(), Vec::new());
+                let mut event = EventDelta::new(c.num_islands());
+                potential_update(&c, change, &mut event, &mut vec![0.0; c.num_islands()]);
                 test_factors(
                     &c,
                     change,
+                    &event,
                     tested,
                     threshold,
                     &dw_fw,
@@ -405,15 +473,19 @@ mod tests {
     }
 
     #[test]
-    fn potential_update_matches_scalar_node_deltas_bitwise() {
+    fn potential_update_matches_the_scalar_column_walk_bitwise() {
         let c = rig();
         let n = c.num_islands();
         for lanes in [2, 4, 8] {
             assert_ne!(n % lanes, 0);
         }
-        // Signed zeros (a lead→lead transfer's `ke·0.0` turns −0.0 into
-        // +0.0), ordinary potentials, and one potential so large that
-        // every delta is below half its ulp.
+        // The isolated islands' columns store only their diagonals.
+        assert_eq!(c.cinv_column(11).rows, &[11]);
+        assert_eq!(c.cinv(3, 11), 0.0);
+        // Signed zeros (a `+0.0` delta turns −0.0 into +0.0, which only
+        // an island the change reaches can take), ordinary potentials,
+        // and one potential so large that every delta is below half its
+        // ulp.
         let mut phi0: Vec<f64> = (0..n)
             .map(|k| match k % 4 {
                 0 => -0.0,
@@ -421,34 +493,52 @@ mod tests {
                 _ => 1e-3 * (k as f64 - 5.0),
             })
             .collect();
-        phi0[n - 1] = 1e16;
-        let scalar = |phi: &mut [f64], change: StateChange, seen: &mut (usize, usize)| {
-            for (k, p) in phi.iter_mut().enumerate() {
+        phi0[10] = 1e16;
+        let mut seen = (0, 0);
+        let mut scalar = |phi: &mut [f64], change: StateChange| {
+            let before = phi.to_vec();
+            let updated = add_node_deltas(&c, change, phi);
+            for (k, (&p, &next)) in before.iter().zip(phi.iter()).enumerate() {
                 let d = AdaptiveSolver::node_delta(&c, change, c.island_node(k));
-                let next = *p + d;
-                if d != 0.0 && next == *p {
+                if d != 0.0 && next == p {
                     seen.0 += 1;
                 }
                 if p.to_bits() == (-0.0f64).to_bits() && next.to_bits() == 0.0f64.to_bits() {
                     seen.1 += 1;
                 }
-                *p = next;
             }
+            updated
         };
-        let mut seen = (0, 0);
         // Each change from the same start, then all of them in sequence,
         // twice.
         let all = changes(&c);
         let sequence: Vec<StateChange> = all.iter().chain(&all).copied().collect();
         let mut cases: Vec<&[StateChange]> = all.chunks(1).collect();
         cases.push(&sequence);
+        let mut event = EventDelta::new(n);
         for case in cases {
             let (mut phi, mut expect) = (phi0.clone(), phi0.clone());
             for &change in case {
-                scalar(&mut expect, change, &mut seen);
-                potential_update(&c, change, &mut phi);
+                let want = scalar(&mut expect, change);
+                let got = potential_update(&c, change, &mut event, &mut phi);
+                assert_eq!(got, want, "{change:?} islands updated");
                 for (k, (a, b)) in phi.iter().zip(&expect).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{change:?} island {k}");
+                }
+                // The delta the tests read is the one added, and `+0.0`
+                // off the union.
+                if let StateChange::Transfer { .. } = change {
+                    assert_eq!(event.touched.len(), got);
+                    for k in 0..n {
+                        let on = event.touched.contains(&(k as u32));
+                        let d = event.delta[k];
+                        if on {
+                            let want = AdaptiveSolver::node_delta(&c, change, c.island_node(k));
+                            assert_eq!(d.to_bits(), want.to_bits(), "{change:?} island {k}");
+                        } else {
+                            assert_eq!(d.to_bits(), 0.0f64.to_bits(), "{change:?} island {k}");
+                        }
+                    }
                 }
             }
         }

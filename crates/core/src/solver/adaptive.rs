@@ -17,34 +17,36 @@
 //!
 //! The optimized path runs the batched kernels of `crate::kernels` over
 //! flat structure-of-arrays junction buffers. A `dense_reference` mode
-//! evaluates neighbourhood membership from the dense matrices per event
-//! and runs every step in its per-junction scalar form; it is the
-//! bit-identity oracle the optimized path is validated against.
+//! evaluates neighbourhood membership from `C⁻¹` and lead-response
+//! entries per event and runs every step in its per-junction or
+//! per-island scalar form; it is the bit-identity oracle the optimized
+//! path is validated against.
 //!
-//! ## Exactness bookkeeping
+//! ## Potential bookkeeping
 //!
-//! Island potentials are *linear* in the island charges, so the
-//! per-event potential deltas are exact. Every state change adds its
-//! delta to every island's cached potential at once
-//! (`kernels::potential_update`: one or two contiguous `C⁻¹` columns
-//! per transfer, one lead-response column per lead step), so every
-//! cached potential is current after every event and a read is a plain
-//! load. The approximation — identical to the paper's — is that
-//! *unflagged* junctions keep stale rates. Because the skipped error
-//! accumulates in `b₀` only for junctions that keep being tested
-//! (distant junctions are not even tested), all rates are additionally
-//! recomputed every `refresh_interval` events, as the paper prescribes.
-//! That full refresh is the solver's one re-derivation path: it
-//! recomputes every potential with the exact `C⁻¹·q̃` product, screens
-//! them, and rewrites every rate. Initialization and resync run the
-//! same path.
+//! Island potentials are *linear* in the island charges. Every state
+//! change adds its delta at once to the cached potential of every
+//! island it reaches (`kernels::potential_update`: the union of the two
+//! truncated `C⁻¹` columns of a transfer, or the lead-response column
+//! of a lead step), so every cached potential is current after every
+//! event and a read is a plain load. An island outside a transfer's
+//! columns misses less than `COUPLING_EPS·e·C⁻¹_ii` per endpoint and
+//! electron (docs/performance.md). The approximation
+//! that matters — identical to the paper's — is that *unflagged*
+//! junctions keep stale rates. Because the skipped error accumulates in
+//! `b₀` only for junctions that keep being tested (distant junctions
+//! are not even tested), all rates are additionally recomputed every
+//! `refresh_interval` events, as the paper prescribes. That full
+//! refresh is the solver's one re-derivation path: it recomputes every
+//! potential with the `C⁻¹·q̃` product, screens them, and rewrites every
+//! rate. Initialization and resync run the same path.
 
 use crate::circuit::{Circuit, JunctionId, NodeId};
 use crate::energy::{lead_step_delta, potential_delta, CircuitState};
 use crate::fenwick::FenwickTree;
 use crate::health::{screen_finite, screen_rate, FaultStage};
-use crate::kernels;
-use crate::solver::{write_junction_rates, SolverContext, StateChange};
+use crate::kernels::{self, EventDelta};
+use crate::solver::{add_node_deltas, write_junction_rates, SolverContext, StateChange};
 use crate::CoreError;
 
 /// Counters describing the work the adaptive solver actually performed
@@ -60,6 +62,10 @@ pub struct AdaptiveStats {
     pub rate_recalcs: u64,
     /// Periodic full refreshes performed.
     pub full_refreshes: u64,
+    /// Island potentials updated by events: the union of a transfer's
+    /// two `C⁻¹` column supports, every island for a lead step. Full
+    /// refreshes are not counted.
+    pub potential_updates: u64,
 }
 
 /// The adaptive solver of the paper's Algorithm 1.
@@ -78,11 +84,14 @@ pub struct AdaptiveSolver {
     /// State changes since the last full refresh.
     events_since_refresh: u64,
     stats: AdaptiveStats,
-    /// Reference mode: evaluate dependency membership from the dense
-    /// matrices per event and run the per-junction scalar path instead
-    /// of the batched kernels. Must produce bit-identical trajectories
-    /// to the optimized path.
+    /// Reference mode: evaluate dependency membership from matrix
+    /// entries per event and run the per-junction and per-island scalar
+    /// paths instead of the batched kernels. Must produce bit-identical
+    /// trajectories to the optimized path.
     dense_reference: bool,
+    /// The current transfer's per-island potential delta, which the
+    /// testing kernel reads after the potential update wrote it.
+    event_delta: EventDelta,
     /// Materialized per-event recompute set (ascending) — reused
     /// allocation.
     tested_scratch: Vec<JunctionId>,
@@ -113,6 +122,7 @@ impl AdaptiveSolver {
             events_since_refresh: 0,
             stats: AdaptiveStats::default(),
             dense_reference: false,
+            event_delta: EventDelta::new(circuit.num_islands()),
             tested_scratch: Vec::new(),
             flagged_scratch: Vec::new(),
             gfw_scratch: Vec::new(),
@@ -122,11 +132,12 @@ impl AdaptiveSolver {
     }
 
     /// Switches this solver to dense-reference mode: dependency
-    /// membership is recomputed from the dense `C⁻¹`/lead-response
-    /// matrices on every event, tests and rate writes run per junction
-    /// and the potential update per island on the scalar functions.
-    /// Slower, but free of precomputed structure and batched kernels —
-    /// the oracle the optimized path is asserted bit-identical against.
+    /// membership is recomputed from `C⁻¹`/lead-response entries on
+    /// every event, tests and rate writes run per junction and the
+    /// potential update per island on the scalar functions, over the
+    /// stored `C⁻¹` columns. Slower, but free of precomputed
+    /// neighbourhoods, supports and batched kernels — the oracle the
+    /// optimized path is asserted bit-identical against.
     pub fn with_dense_reference(mut self) -> Self {
         self.dense_reference = true;
         self
@@ -163,7 +174,7 @@ impl AdaptiveSolver {
     }
 
     /// The one re-derivation path, for periodic refreshes, resyncs and
-    /// initialization: recomputes every potential with the exact
+    /// initialization: recomputes every potential with the
     /// `C⁻¹·q̃` product (never the accumulated deltas, whose rounding
     /// depends on history — checkpoint/resume relies on both sides
     /// reaching bit-identical potentials), screens them, and rewrites
@@ -296,10 +307,10 @@ impl AdaptiveSolver {
         self.dw_bw[junction] *= factor;
     }
 
-    /// Exact potential change of `node` caused by one state change (0
-    /// for leads except the stepped lead itself) — the oracle's scalar
-    /// form of the testing kernel's per-terminal delta and of the
-    /// potential update's per-island delta.
+    /// Potential change of `node` caused by one state change (0 for
+    /// leads except the stepped lead itself) — the oracle's scalar form
+    /// of the testing kernel's per-terminal delta and of the potential
+    /// update's per-island delta.
     #[inline]
     pub(crate) fn node_delta(circuit: &Circuit, change: StateChange, node: NodeId) -> f64 {
         match change {
@@ -331,15 +342,14 @@ impl AdaptiveSolver {
         self.stats.events += 1;
         self.events_since_refresh += 1;
 
-        // Every island takes this change's exact potential delta now; the
-        // oracle computes it per island with the scalar function.
-        if self.dense_reference {
-            for (k, phi) in state.phi.iter_mut().enumerate() {
-                *phi += Self::node_delta(circuit, change, circuit.island_node(k));
-            }
+        // Every island the change reaches takes its potential delta now;
+        // the oracle computes it per island with the scalar function.
+        let updated = if self.dense_reference {
+            add_node_deltas(circuit, change, &mut state.phi)
         } else {
-            kernels::potential_update(circuit, change, &mut state.phi);
-        }
+            kernels::potential_update(circuit, change, &mut self.event_delta, &mut state.phi)
+        };
+        self.stats.potential_updates += updated as u64;
 
         if self.events_since_refresh >= self.refresh_interval {
             // Periodic full recalculation (paper: "all junction
@@ -451,6 +461,7 @@ impl AdaptiveSolver {
         kernels::test_factors(
             ctx.circuit,
             change,
+            &self.event_delta,
             &tested,
             self.threshold,
             &self.dw_fw,
@@ -728,6 +739,67 @@ mod tests {
         state.recompute_potentials(&c);
         for (a, b) in eager.iter().zip(state.island_potentials()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn potential_updates_count_the_union_of_the_event_columns() {
+        // A 30-island chain whose islands each load to ground, so the
+        // coupling decays along it and the truncated columns end long
+        // before the chain does.
+        let mut b = CircuitBuilder::new();
+        let vdd = b.add_lead(10e-3);
+        let islands: Vec<NodeId> = (0..30).map(|_| b.add_island()).collect();
+        b.add_junction(vdd, islands[0], 1e6, 1e-18).unwrap();
+        for w in islands.windows(2) {
+            b.add_junction(w[0], w[1], 1e6, 1e-18).unwrap();
+        }
+        b.add_junction(islands[29], NodeId::GROUND, 1e6, 1e-18)
+            .unwrap();
+        for &i in &islands {
+            b.add_capacitor(i, NodeId::GROUND, 1e-17).unwrap();
+        }
+        let c = b.build().unwrap();
+        let n = c.num_islands();
+        let support = |node: NodeId| -> std::collections::BTreeSet<u32> {
+            c.island_index(node)
+                .map(|k| c.cinv_column(k).rows.iter().copied().collect())
+                .unwrap_or_default()
+        };
+        let model = TunnelModel::Normal;
+        for dense in [false, true] {
+            let (mut state, mut rates, mut solver, layout) = make_parts(&c, 0.05, u64::MAX);
+            if dense {
+                solver = solver.with_dense_reference();
+            }
+            let ctx = SolverContext::new(&c, K_B * 5.0, &model, layout);
+            solver.initialize(&ctx, &mut state, &mut rates).unwrap();
+            let mut want = 0;
+            for (from, to) in [
+                (islands[3], islands[4]),
+                (islands[0], islands[20]),
+                (vdd, islands[0]),
+                (islands[29], NodeId::GROUND),
+                (vdd, NodeId::GROUND),
+            ] {
+                want += support(from).union(&support(to)).count() as u64;
+                state.apply_transfer(&c, from, to, 1);
+                let change = StateChange::Transfer { from, to, count: 1 };
+                solver
+                    .apply_change(&ctx, &mut state, &mut rates, change)
+                    .unwrap();
+            }
+            let old = state.set_lead_voltage(1, 20e-3);
+            let step = StateChange::LeadStep {
+                lead: 1,
+                dv: 20e-3 - old,
+            };
+            solver
+                .apply_change(&ctx, &mut state, &mut rates, step)
+                .unwrap();
+            want += n as u64;
+            assert_eq!(solver.stats().potential_updates, want, "dense {dense}");
+            assert!(c.cinv_column(3).len() < n, "the chain truncates");
         }
     }
 

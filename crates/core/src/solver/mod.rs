@@ -20,7 +20,8 @@ pub use adaptive::{AdaptiveSolver, AdaptiveStats};
 pub use nonadaptive::NonAdaptiveSolver;
 
 use crate::circuit::{Circuit, JunctionId};
-use crate::energy::{delta_w, CircuitState};
+use crate::constants::E_CHARGE;
+use crate::energy::{lead_step_delta, potential_delta, CircuitState};
 use crate::events::RateLayout;
 use crate::fenwick::FenwickTree;
 use crate::health::{screen_finite, screen_rate, FaultStage};
@@ -76,11 +77,22 @@ impl<'a> SolverContext<'a> {
 
     /// Evaluates both directed first-order rates of junction `j` from
     /// the current state, returning `(ΔW_fw, Γ_fw, ΔW_bw, Γ_bw)`.
+    ///
+    /// Each ΔW is [`crate::energy::delta_w`]'s expression for one electron, with the
+    /// junction's charging term `C⁻¹_aa + C⁻¹_bb − 2·C⁻¹_ab` read from
+    /// the circuit's per-junction coefficients, which the build computes
+    /// with `delta_w`'s operands in its order. The value is therefore
+    /// bitwise `delta_w`'s (the kernel tests check it), without a search
+    /// of the sparse `C⁻¹` per rate.
     #[inline]
     pub fn junction_rates(&self, state: &CircuitState, j: JunctionId) -> (f64, f64, f64, f64) {
         let junction = self.circuit.junction(j);
-        let dw_fw = delta_w(self.circuit, state, junction.node_a, junction.node_b, 1);
-        let dw_bw = delta_w(self.circuit, state, junction.node_b, junction.node_a, 1);
+        let soa = self.circuit.junction_soa();
+        let pa = state.potential(self.circuit, junction.node_a);
+        let pb = state.potential(self.circuit, junction.node_b);
+        let half_e2 = 0.5 * E_CHARGE * E_CHARGE;
+        let dw_fw = E_CHARGE * (pa - pb) + half_e2 * soa.charging_fw[j.index()];
+        let dw_bw = E_CHARGE * (pb - pa) + half_e2 * soa.charging_bw[j.index()];
         #[allow(unused_mut)]
         let (mut g_fw, g_bw) = match self.model {
             TunnelModel::Normal => (
@@ -236,4 +248,40 @@ pub(crate) fn write_junction_rates(
         screen_rate(FaultStage::TunnelRate, jx, g_bw)?,
     );
     Ok((dw_fw, dw_bw))
+}
+
+/// Adds `change`'s potential delta to the cached potential of every
+/// island it reaches, one island at a time with the scalar
+/// [`potential_delta`] / [`lead_step_delta`] (the island cases of
+/// [`AdaptiveSolver::node_delta`]), and returns how many islands that
+/// is. A transfer reaches the islands its endpoints' stored `C⁻¹`
+/// columns hold: column `from`'s, then those of column `to` that column
+/// `from` does not store (a stored entry is nonzero, so [`Circuit::cinv`]
+/// reads `0.0` exactly for the rest). A lead step reaches every island.
+/// The oracle and the non-adaptive solver run this; the optimized path
+/// runs `kernels::potential_update`, which adds the same deltas to the
+/// same islands.
+pub(crate) fn add_node_deltas(circuit: &Circuit, change: StateChange, phi: &mut [f64]) -> usize {
+    match change {
+        StateChange::Transfer { from, to, count } => {
+            let f = circuit.island_index(from);
+            let column =
+                |island: Option<usize>| island.map_or(&[][..], |i| circuit.cinv_column(i).rows);
+            let to_only = column(circuit.island_index(to))
+                .iter()
+                .filter(|&&k| f.is_none_or(|f| circuit.cinv(k as usize, f) == 0.0));
+            let mut updated = 0;
+            for &k in column(f).iter().chain(to_only) {
+                phi[k as usize] += potential_delta(circuit, k as usize, from, to, count);
+                updated += 1;
+            }
+            updated
+        }
+        StateChange::LeadStep { lead, dv } => {
+            for (k, p) in phi.iter_mut().enumerate() {
+                *p += lead_step_delta(circuit, k, lead, dv);
+            }
+            phi.len()
+        }
+    }
 }

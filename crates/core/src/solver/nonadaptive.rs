@@ -1,13 +1,14 @@
 //! The conventional (non-adaptive) Monte Carlo solver.
 //!
 //! After every tunnel event or input step it updates the potential of
-//! every island and recomputes the tunneling rate of every junction —
+//! every island the event reaches through the stored `C⁻¹` and
+//! recomputes the tunneling rate of every junction —
 //! exactly the behaviour of conventional single-electron simulators and
 //! the accuracy reference of the paper's Figs. 6–7.
 
-use crate::energy::{lead_step_delta, potential_delta, CircuitState};
+use crate::energy::CircuitState;
 use crate::fenwick::FenwickTree;
-use crate::solver::{write_junction_rates, SolverContext, StateChange};
+use crate::solver::{add_node_deltas, write_junction_rates, SolverContext, StateChange};
 use crate::CoreError;
 
 /// Conventional solver: every potential and every rate, every event.
@@ -62,18 +63,7 @@ impl NonAdaptiveSolver {
             state.recompute_potentials(circuit);
             self.events_since_exact = 0;
         } else {
-            match change {
-                StateChange::Transfer { from, to, count } => {
-                    for k in 0..circuit.num_islands() {
-                        state.phi[k] += potential_delta(circuit, k, from, to, count);
-                    }
-                }
-                StateChange::LeadStep { lead, dv } => {
-                    for k in 0..circuit.num_islands() {
-                        state.phi[k] += lead_step_delta(circuit, k, lead, dv);
-                    }
-                }
-            }
+            add_node_deltas(circuit, change, &mut state.phi);
         }
         for j in circuit.junction_ids() {
             write_junction_rates(ctx, state, rates, j)?;

@@ -33,7 +33,9 @@
 
 use semsim_quad::{bcs_dos, bcs_gap, fermi, tanh_sinh, LookupTable};
 
-use crate::constants::{E_CHARGE, HBAR, R_Q};
+use crate::circuit::Circuit;
+use crate::constants::{thermal_energy, E_CHARGE, HBAR, R_Q};
+use crate::engine::SimConfig;
 use crate::CoreError;
 
 /// Material/junction parameters of a superconducting circuit.
@@ -262,6 +264,41 @@ impl QpRateTable {
         for (y, &r) in out[start..].iter_mut().zip(rs) {
             *y = (*y / (E_CHARGE * E_CHARGE * r)).max(0.0);
         }
+    }
+
+    /// The table [`Simulation::new`](crate::engine::Simulation::new)
+    /// builds for `circuit` under `config` when `config.qp_table` is
+    /// `None`. It covers `|ΔW| ≤ config.qp_table_range`, by default
+    /// `4Δ + 40·k_BT + 8·max_i(e²·C⁻¹_ii/2) + 4e·V`, with `V` the largest
+    /// initial lead bias (at least 10 mV). Build it once and pass it with
+    /// [`SimConfig::with_qp_table`] to every simulation of the same
+    /// circuit and configuration — a sweep's points — which then skip
+    /// the quadrature and use the same bits.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] when `config` has no superconducting
+    /// parameters, and as [`QpRateTable::build`].
+    pub fn for_circuit(circuit: &Circuit, config: &SimConfig) -> Result<Self, CoreError> {
+        let Some(params) = &config.superconducting else {
+            return Err(CoreError::InvalidConfig {
+                what: "qp table without superconducting parameters",
+                value: config.temperature,
+            });
+        };
+        let kt = thermal_energy(config.temperature);
+        let gap = gap_at(params, config.temperature);
+        let w_max = config.qp_table_range.unwrap_or_else(|| {
+            let v_scale = circuit
+                .initial_lead_voltages()
+                .iter()
+                .fold(10e-3_f64, |m, v| m.max(v.abs()));
+            let ec_max = (0..circuit.num_islands())
+                .map(|i| 0.5 * E_CHARGE * E_CHARGE * circuit.cinv(i, i))
+                .fold(0.0_f64, f64::max);
+            4.0 * gap + 40.0 * kt + 8.0 * ec_max + 4.0 * E_CHARGE * v_scale
+        });
+        Self::build(gap, kt, w_max)
     }
 }
 

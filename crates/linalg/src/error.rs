@@ -9,7 +9,7 @@ use std::fmt;
 /// use semsim_linalg::{LinalgError, Matrix};
 ///
 /// let singular = Matrix::zeros(2, 2);
-/// assert!(matches!(singular.inverse(), Err(LinalgError::Singular { .. })));
+/// assert!(matches!(singular.lu(), Err(LinalgError::Singular { .. })));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {

@@ -1,11 +1,11 @@
-use crate::{LinalgError, Matrix};
+use crate::{LinalgError, Matrix, PIVOT_EPS};
 
 /// LU decomposition with partial pivoting (`P·A = L·U`).
 ///
 /// The decomposition is computed once and can then solve any number of
-/// right-hand sides or produce the full inverse. The capacitance matrices
-/// of well-posed single-electron circuits are symmetric and strictly
-/// diagonally dominant, so partial pivoting is ample.
+/// right-hand sides. The static checker's condition estimate and the
+/// SPICE baseline's nodal solve use it; the circuit build factors its
+/// capacitance matrix sparse ([`crate::LdlFactor`]).
 ///
 /// # Example
 ///
@@ -30,14 +30,6 @@ pub struct LuDecomposition {
     /// Sign of the permutation, used by [`LuDecomposition::determinant`].
     perm_sign: f64,
 }
-
-/// A pivot whose absolute value is below this is treated as an exact
-/// zero. The test is absolute, not relative to the matrix's scale. It
-/// catches a column that is zero or cancels to exactly zero, such as an
-/// island with no capacitance; rounding can leave a singular island
-/// cluster a tiny nonzero pivot that passes. Capacitance matrices in
-/// farads have entries near 1e-18, far above the threshold.
-const PIVOT_EPS: f64 = 1e-300;
 
 impl LuDecomposition {
     /// Factorizes `a`.
@@ -226,81 +218,6 @@ impl LuDecomposition {
         Ok(est)
     }
 
-    /// Computes the full inverse column by column: row `c` of the
-    /// result holds column `c` of `A⁻¹`, the layout a reader of whole
-    /// columns wants. Each is bitwise `self.solve(&e_c)` for the unit
-    /// vector `e_c`, for every input. [`Matrix::inverse`] is its
-    /// transpose.
-    ///
-    /// The cost is `O(n² + n·nnz(LU))` instead of the `O(n³)` of `n`
-    /// dense solves. The factor's strict-L and strict-U nonzeros are
-    /// gathered once into per-row lists. Columns whose unit entries sit
-    /// on consecutive permuted rows are then computed eight at a time,
-    /// each by `solve`'s row-oriented substitutions with the same terms
-    /// in the same ascending order, minus the terms whose factor entry is
-    /// zero. The forward sweep starts at the group's first unit row; the
-    /// rows above it are `+0`, as `solve` leaves them. Each skipped term
-    /// is an exact `±0`, which can change only the sign of a zero sum,
-    /// and a row's new value `xᵢ − sum` (over the pivot, backward) does
-    /// not depend on that sign because `xᵢ` is never `−0` there: it is
-    /// `+0`, `1` or a forward result. This needs finite operands, so a
-    /// factor with a non-finite entry takes `solve` for every column, and
-    /// so does any column that comes out with a non-finite entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve`]; cannot fail for a
-    /// successfully constructed decomposition.
-    pub fn inverse_columns(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut columns = Matrix::zeros(n, n);
-        let rows = FactorRows::of_finite(&self.lu);
-        let mut x = vec![[0.0; LANES]; n];
-        let mut e = vec![0.0; n];
-        for first in (0..n).step_by(LANES) {
-            if let Some(rows) = &rows {
-                self.unit_solves(rows, first, &mut x);
-            }
-            let cols = &self.perm[first..n.min(first + LANES)];
-            for (lane, &col) in cols.iter().enumerate() {
-                if rows.is_some() && x.iter().all(|xr| xr[lane].is_finite()) {
-                    for (row, xr) in x.iter().enumerate() {
-                        columns.set(col, row, xr[lane]);
-                    }
-                } else {
-                    e[col] = 1.0;
-                    for (row, v) in self.solve(&e)?.into_iter().enumerate() {
-                        columns.set(col, row, v);
-                    }
-                    e[col] = 0.0;
-                }
-            }
-        }
-        Ok(columns)
-    }
-
-    /// `solve(e_c)` for the columns `c = perm[first + lane]`, each in
-    /// its lane of `x`, summing only the factor's nonzeros in `rows`.
-    fn unit_solves(&self, rows: &FactorRows, first: usize, x: &mut [[f64; LANES]]) {
-        x.fill([0.0; LANES]);
-        for (lane, xr) in x[first..].iter_mut().take(LANES).enumerate() {
-            xr[lane] = 1.0;
-        }
-        for i in first + 1..x.len() {
-            let dot = rows_dot(rows.lower(i), x);
-            for (xi, d) in x[i].iter_mut().zip(dot) {
-                *xi -= d;
-            }
-        }
-        for i in (0..x.len()).rev() {
-            let dot = rows_dot(rows.upper(i), x);
-            let pivot = self.lu.get(i, i);
-            for (xi, d) in x[i].iter_mut().zip(dot) {
-                *xi = (*xi - d) / pivot;
-            }
-        }
-    }
-
     /// Determinant of the factorized matrix.
     pub fn determinant(&self) -> f64 {
         let mut det = self.perm_sign;
@@ -311,87 +228,28 @@ impl LuDecomposition {
     }
 }
 
-/// Columns [`LuDecomposition::inverse_columns`] computes side by side. Their
-/// sums are independent, so they fill the floating-point pipeline that
-/// one column's chain of dependent additions leaves idle.
-const LANES: usize = 8;
-
-/// `Σ value·x[k]` over `entries` in order, for each lane of `x`.
-fn rows_dot(entries: &[(usize, f64)], x: &[[f64; LANES]]) -> [f64; LANES] {
-    let mut dot = [0.0; LANES];
-    for &(k, value) in entries {
-        for (d, xk) in dot.iter_mut().zip(x[k]) {
-            *d += value * xk;
-        }
-    }
-    dot
-}
-
-/// The strict-L and strict-U nonzeros of a combined LU factor, row by
-/// row in ascending column order, as `(column, value)` pairs.
-struct FactorRows {
-    /// Row `i`'s strict-L entries are `lower[lower_start[i]..lower_start[i + 1]]`.
-    lower_start: Vec<usize>,
-    lower: Vec<(usize, f64)>,
-    /// Row `i`'s strict-U entries, laid out like `lower`.
-    upper_start: Vec<usize>,
-    upper: Vec<(usize, f64)>,
-}
-
-impl FactorRows {
-    /// Gathers the nonzeros of `lu`, or `None` if any entry of `lu` is
-    /// not finite. A counting pass sizes each list exactly.
-    fn of_finite(lu: &Matrix) -> Option<Self> {
-        let n = lu.rows();
-        let (mut n_lower, mut n_upper) = (0, 0);
-        for i in 0..n {
-            for (k, &v) in lu.row(i).iter().enumerate() {
-                if !v.is_finite() {
-                    return None;
-                }
-                if v != 0.0 && k < i {
-                    n_lower += 1;
-                } else if v != 0.0 && k > i {
-                    n_upper += 1;
-                }
-            }
-        }
-        let mut rows = FactorRows {
-            lower_start: Vec::with_capacity(n + 1),
-            lower: Vec::with_capacity(n_lower),
-            upper_start: Vec::with_capacity(n + 1),
-            upper: Vec::with_capacity(n_upper),
-        };
-        for i in 0..n {
-            let row = lu.row(i);
-            let nonzeros = |range: std::ops::Range<usize>| {
-                range.filter(|&k| row[k] != 0.0).map(|k| (k, row[k]))
-            };
-            rows.lower_start.push(rows.lower.len());
-            rows.lower.extend(nonzeros(0..i));
-            rows.upper_start.push(rows.upper.len());
-            rows.upper.extend(nonzeros(i + 1..n));
-        }
-        rows.lower_start.push(rows.lower.len());
-        rows.upper_start.push(rows.upper.len());
-        Some(rows)
-    }
-
-    fn lower(&self, i: usize) -> &[(usize, f64)] {
-        &self.lower[self.lower_start[i]..self.lower_start[i + 1]]
-    }
-
-    fn upper(&self, i: usize) -> &[(usize, f64)] {
-        &self.upper[self.upper_start[i]..self.upper_start[i + 1]]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} != {b} (tol {tol})");
+    }
+
+    /// `a⁻¹`, one solve per column.
+    fn inverse(a: &Matrix) -> Matrix {
+        let lu = a.lu().unwrap();
+        let n = a.rows();
+        let mut inv = Matrix::zeros(n, n);
+        let mut e = vec![0.0; n];
+        for c in 0..n {
+            e[c] = 1.0;
+            for (r, x) in lu.solve(&e).unwrap().into_iter().enumerate() {
+                inv.set(r, c, x);
+            }
+            e[c] = 0.0;
+        }
+        inv
     }
 
     #[test]
@@ -413,7 +271,7 @@ mod tests {
             &[-0.5, 0.0, -2.0, 7.0],
         ])
         .unwrap();
-        let inv = a.inverse().unwrap();
+        let inv = inverse(&a);
         let id = a.mul(&inv).unwrap();
         for r in 0..4 {
             for c in 0..4 {
@@ -490,7 +348,6 @@ mod tests {
     fn inverse_of_symmetric_is_symmetric() {
         let a = Matrix::from_rows(&[&[4.0, -1.0, -0.3], &[-1.0, 5.0, -0.7], &[-0.3, -0.7, 6.0]])
             .unwrap();
-        let inv = a.inverse().unwrap();
-        assert!(inv.is_symmetric(1e-12));
+        assert!(inverse(&a).is_symmetric(1e-12));
     }
 }

@@ -2,9 +2,10 @@ use crate::{LinalgError, LuDecomposition};
 
 /// A dense, row-major matrix of `f64`.
 ///
-/// This is the workhorse type used to assemble the island capacitance
-/// matrix and hold its inverse. It intentionally supports only the
-/// operations the simulator needs; it is not a general-purpose BLAS.
+/// It holds the island–lead coupling block and the lead responses, and
+/// backs the static checker's and the SPICE baseline's dense solves. It
+/// intentionally supports only the operations the simulator needs; it
+/// is not a general-purpose BLAS.
 ///
 /// # Example
 ///
@@ -256,16 +257,6 @@ impl Matrix {
     /// [`LinalgError::Singular`] if a pivot vanishes.
     pub fn lu(&self) -> Result<LuDecomposition, LinalgError> {
         LuDecomposition::new(self)
-    }
-
-    /// Computes the inverse via LU decomposition: the transpose of
-    /// [`LuDecomposition::inverse_columns`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Matrix::lu`].
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        Ok(self.lu()?.inverse_columns()?.transposed())
     }
 
     /// Solves `self · x = b`.

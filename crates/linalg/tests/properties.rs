@@ -1,7 +1,7 @@
 //! Property-style tests of the linear-algebra substrate: plain seeded
 //! loops over randomly generated inputs (no external test framework).
 
-use semsim_linalg::Matrix;
+use semsim_linalg::{LinalgError, Matrix, SymmetricMatrix};
 
 /// Minimal SplitMix64 generator for test-input generation.
 struct TestRng(u64);
@@ -47,7 +47,7 @@ fn inverse_roundtrips() {
     let mut rng = TestRng(1);
     for case in 0..CASES {
         let m = random_spd(&mut rng, 6);
-        let inv = m.inverse().unwrap();
+        let inv = inverse(&m);
         let id = m.mul(&inv).unwrap();
         for r in 0..6 {
             for c in 0..6 {
@@ -65,7 +65,7 @@ fn solve_agrees_with_inverse() {
         let m = random_spd(&mut rng, 5);
         let b: Vec<f64> = (0..5).map(|_| rng.uniform(-10.0, 10.0)).collect();
         let x1 = m.solve(&b).unwrap();
-        let x2 = m.inverse().unwrap().mul_vec(&b).unwrap();
+        let x2 = inverse(&m).mul_vec(&b).unwrap();
         for (a, c) in x1.iter().zip(&x2) {
             assert!((a - c).abs() < 1e-8 * c.abs().max(1.0), "case {case}");
         }
@@ -109,7 +109,7 @@ fn condition_estimate_brackets_true_condition() {
     for case in 0..CASES {
         let m = random_spd(&mut rng, 5);
         let est = m.condition_estimate().unwrap();
-        let inv = m.inverse().unwrap();
+        let inv = inverse(&m);
         let exact = m.norm_one() * inv.norm_one();
         assert!(est >= 1.0, "case {case}: estimate {est} < 1");
         assert!(
@@ -123,25 +123,25 @@ fn condition_estimate_brackets_true_condition() {
     }
 }
 
-/// Asserts that every column of `m`'s inverse is bitwise `solve(e_c)`.
-fn assert_inverse_columns_are_solves(m: &Matrix, what: &str) {
+/// `m⁻¹`, one dense solve per column.
+fn inverse(m: &Matrix) -> Matrix {
     let lu = m.lu().expect("test matrices are nonsingular");
-    let columns = lu.inverse_columns().expect("a factor inverts");
     let n = m.rows();
+    let mut inv = Matrix::zeros(n, n);
     let mut e = vec![0.0; n];
     for c in 0..n {
         e[c] = 1.0;
-        let x = lu.solve(&e).expect("e_c has the factor's dimension");
-        e[c] = 0.0;
-        for (r, v) in x.iter().enumerate() {
-            assert_eq!(
-                columns.get(c, r).to_bits(),
-                v.to_bits(),
-                "{what}: inverse ({r},{c}) = {} but solve gives {v}",
-                columns.get(c, r)
-            );
+        for (r, x) in lu
+            .solve(&e)
+            .expect("e_c has the factor's dimension")
+            .into_iter()
+            .enumerate()
+        {
+            inv.set(r, c, x);
         }
+        e[c] = 0.0;
     }
+    inv
 }
 
 /// Random sparse capacitance-like matrix: a chain of `n` islands with
@@ -149,131 +149,103 @@ fn assert_inverse_columns_are_solves(m: &Matrix, what: &str) {
 /// lead. With `chain_only`, only the two end islands do, so every
 /// interior row is weakly diagonally dominant (diagonal = sum of
 /// couplings).
-fn random_capacitance(rng: &mut TestRng, n: usize, chain_only: bool) -> Matrix {
-    let mut m = Matrix::zeros(n, n);
-    let couple = |m: &mut Matrix, i: usize, j: usize, c: f64| {
-        m.add_to(i, i, c);
-        m.add_to(j, j, c);
-        m.add_to(i, j, -c);
-        m.add_to(j, i, -c);
+fn random_capacitance(rng: &mut TestRng, n: usize, chain_only: bool) -> SymmetricMatrix {
+    let mut diagonal = vec![0.0; n];
+    let mut entries = Vec::new();
+    let mut couple = |diagonal: &mut [f64], i: usize, j: usize, c: f64| {
+        diagonal[i] += c;
+        diagonal[j] += c;
+        entries.push((i, j, -c));
     };
     for i in 1..n {
-        couple(&mut m, i - 1, i, rng.uniform(0.2, 5.0) * 1e-18);
+        couple(&mut diagonal, i - 1, i, rng.uniform(0.2, 5.0) * 1e-18);
     }
     if !chain_only {
         for _ in 0..n / 3 {
             let i = (rng.next_u64() % n as u64) as usize;
             let j = (rng.next_u64() % n as u64) as usize;
             if i != j {
-                couple(&mut m, i, j, rng.uniform(0.01, 1.0) * 1e-18);
+                couple(&mut diagonal, i, j, rng.uniform(0.01, 1.0) * 1e-18);
             }
         }
     }
-    for i in 0..n {
+    for (i, d) in diagonal.iter_mut().enumerate() {
         let to_lead = if chain_only {
             i == n - 1
         } else {
             rng.uniform(0.0, 1.0) < 0.3
         };
         if to_lead || i == 0 {
-            m.add_to(i, i, rng.uniform(0.1, 2.0) * 1e-18);
+            *d += rng.uniform(0.1, 2.0) * 1e-18;
         }
     }
-    m
-}
-
-/// Random sparse nonsymmetric matrix with small diagonals: a dominant
-/// entry per row on a random permutation, so partial pivoting swaps
-/// rows, plus sparse off-diagonal noise.
-fn random_pivoting(rng: &mut TestRng, n: usize) -> Matrix {
-    let mut sigma: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        sigma.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
-    }
-    let mut m = Matrix::zeros(n, n);
-    for (r, &target) in sigma.iter().enumerate() {
-        for c in 0..n {
-            if rng.uniform(0.0, 1.0) < 0.15 {
-                m.set(r, c, rng.uniform(-0.5, 0.5));
-            }
-        }
-        m.set(r, r, rng.uniform(-0.05, 0.05));
-        let big = rng.uniform(2.0, 4.0).copysign(rng.uniform(-1.0, 1.0));
-        m.set(r, target, big);
-    }
-    m
+    SymmetricMatrix::from_entries(diagonal, &entries)
 }
 
 #[test]
-fn inverse_columns_are_bitwise_solves_on_dense_spd() {
+fn ldl_solves_agree_with_dense_lu() {
     let mut rng = TestRng(7);
     for case in 0..CASES {
-        let n = 1 + case % 12;
-        assert_inverse_columns_are_solves(&random_spd(&mut rng, n), &format!("spd case {case}"));
+        let n = 1 + case % 40;
+        let a = random_capacitance(&mut rng, n, case % 2 == 0);
+        let dense = a.to_dense();
+        let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let x = a.ldl().unwrap().solve(&b).unwrap();
+        let want = dense.solve(&b).unwrap();
+        let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (p, q) in x.iter().zip(&want) {
+            assert!((p - q).abs() <= 1e-12 * scale, "case {case}: {p} vs {q}");
+        }
     }
 }
 
 #[test]
-fn inverse_columns_are_bitwise_solves_on_sparse_capacitance_matrices() {
+fn truncated_inverse_matches_dense_inverse_within_the_rule() {
+    // Kept entries agree with the dense inverse to rounding relative to
+    // the larger diagonal; dropped ones are below the cut. Every island
+    // also couples to a lead, as logic circuits' islands do, so the
+    // inverse decays along the chain and the cut drops its far entries.
     let mut rng = TestRng(8);
+    let eps = 1e-8;
+    let mut dropped = 0;
     for case in 0..CASES {
         let n = 1 + case % 40;
-        let chain_only = case % 2 == 0;
-        let m = random_capacitance(&mut rng, n, chain_only);
-        assert_inverse_columns_are_solves(&m, &format!("capacitance case {case}"));
+        let chain = random_capacitance(&mut rng, n, case % 2 == 0);
+        let mut diagonal = chain.diagonal().to_vec();
+        for d in &mut diagonal {
+            *d += rng.uniform(1.0, 5.0) * 1e-18;
+        }
+        let entries: Vec<_> = (0..n)
+            .flat_map(|c| chain.off_diagonal(c).iter().map(move |(r, v)| (r, c, v)))
+            .filter(|&(r, c, _)| r < c)
+            .collect();
+        let a = SymmetricMatrix::from_entries(diagonal, &entries);
+        let f = a.ldl().unwrap();
+        let inv = f.truncated_inverse(eps);
+        let exact = inverse(&a.to_dense());
+        let d: Vec<f64> = (0..n).map(|i| exact.get(i, i)).collect();
+        for c in 0..n {
+            for i in 0..n {
+                let (x, kept) = (exact.get(i, c), inv.get(i, c));
+                let scale = d[i].max(d[c]);
+                if kept != 0.0 {
+                    assert!((kept - x).abs() <= 1e-12 * scale, "case {case} ({i},{c})");
+                } else {
+                    dropped += 1;
+                    let cut = eps * d[i].min(d[c]);
+                    assert!(x.abs() <= cut * (1.0 + 1e-12), "case {case} ({i},{c})");
+                }
+            }
+            // The diagonal is always kept.
+            assert!(inv.get(c, c) > 0.0);
+        }
     }
+    assert!(dropped > 0, "no case truncated anything");
 }
 
 #[test]
-fn inverse_columns_are_bitwise_solves_when_pivoting_swaps_rows() {
-    let mut rng = TestRng(9);
-    let (mut factored, mut swapped) = (0, 0);
-    for case in 0..CASES {
-        let n = 2 + case % 30;
-        let m = random_pivoting(&mut rng, n);
-        if m.lu().is_err() {
-            continue;
-        }
-        factored += 1;
-        // The first pivot search alone swaps when a lower entry of
-        // column 0 outweighs the diagonal.
-        if (1..n).any(|r| m.get(r, 0).abs() > m.get(0, 0).abs()) {
-            swapped += 1;
-        }
-        assert_inverse_columns_are_solves(&m, &format!("pivoting case {case}"));
-    }
-    assert!(
-        factored >= CASES * 9 / 10,
-        "only {factored} matrices factored"
-    );
-    assert!(swapped >= CASES / 2, "only {swapped} matrices swapped rows");
-
-    // Zero diagonal entries force row swaps at the first and third pivots.
-    let m = Matrix::from_rows(&[
-        &[0.0, 2.0, 0.0, 1.0],
-        &[3.0, 0.0, -1.0, 0.0],
-        &[0.0, 1.0, 0.0, 4.0],
-        &[1.0, 0.0, 5.0, 0.0],
-    ])
-    .unwrap();
-    assert_inverse_columns_are_solves(&m, "zero diagonal");
-}
-
-#[test]
-fn inverse_columns_are_bitwise_solves_when_the_inverse_overflows() {
-    // Upper triangular, so no row swaps: column 3 of the inverse has
-    // x₂ = −1e200, x₁ = +∞, and x₀ = 0·∞ = NaN in `solve`. A sum over
-    // the factor's nonzeros alone would give x₀ = +0, so only the
-    // non-finite fallback keeps the column equal to `solve(e_3)`.
-    let m = Matrix::from_rows(&[
-        &[1.0, 0.0, 0.0, 0.0],
-        &[0.0, 1.0, 1e200, 0.0],
-        &[0.0, 0.0, 1.0, 1e200],
-        &[0.0, 0.0, 0.0, 1.0],
-    ])
-    .unwrap();
-    let inv = m.inverse().unwrap();
-    assert_eq!(inv.get(1, 3), f64::INFINITY);
-    assert!(inv.get(0, 3).is_nan());
-    assert_inverse_columns_are_solves(&m, "overflowing inverse");
+fn ldl_refuses_a_floating_cluster() {
+    // Islands 1 and 2 couple only to each other: C is singular.
+    let a = SymmetricMatrix::from_entries(vec![2.0, 1.0, 1.0], &[(1, 2, -1.0)]);
+    assert!(matches!(a.ldl(), Err(LinalgError::Singular { .. })));
 }

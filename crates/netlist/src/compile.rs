@@ -670,11 +670,10 @@ jumps 3000 1
         assert_eq!(est.islands as usize, c.circuit.num_islands());
         assert_eq!(est.leads as usize, c.circuit.num_leads());
         assert_eq!(est.junctions as usize, c.circuit.num_junctions());
-        // The predict-time dense blocks are exact (they only depend on
-        // the counts), so the estimate's dense component equals the
-        // measured one.
+        // One island: the truncated `C⁻¹` is its one entry, and the
+        // estimate prices it exactly.
         let measured = ResourceEstimate::measured(&c.circuit);
-        assert_eq!(est.dense_matrix_bytes, measured.dense_matrix_bytes);
+        assert_eq!(est.inverse_bytes, measured.inverse_bytes);
         assert_eq!(est.coupling_bytes, measured.coupling_bytes);
     }
 

@@ -387,9 +387,11 @@ fn oversized_job_is_refused_with_a_structured_413() {
     };
     let (server, _notes) = Server::start(&config).expect("daemon must start");
     let addr = server.addr().to_string();
-    // A 60-island chain: dense C/C⁻¹ alone is 2·60²·8 = 57.6 KiB,
-    // well past the 16 KiB budget. The estimate is count-based, so the
-    // refusal happens before any matrix is materialised.
+    // A 60-island chain: its truncated C⁻¹ alone is priced at 36 kept
+    // entries per column, 60·36·12 B plus the column starts and the
+    // diagonal = 26.3 KiB,
+    // past the 16 KiB budget. The estimate is count-based, so the refusal happens
+    // before any matrix is materialised.
     let mut big = String::from("vdc 1 0.01\ntemp 5\njumps 200 1\n");
     for i in 1..=60 {
         big.push_str(&format!("junc {i} {i} {} 1e-6 1e-18\n", i + 1));
@@ -404,7 +406,7 @@ fn oversized_job_is_refused_with_a_structured_413() {
     );
     assert_eq!(num_field(&json, "max_memory_bytes"), 16.0 * 1024.0);
     assert!(
-        str_field(&json, "breakdown").contains("C⁻¹ and its LU factor"),
+        str_field(&json, "breakdown").contains("C⁻¹ 26.3 KiB, its factor while building"),
         "{}",
         resp.body
     );

@@ -4,9 +4,10 @@
 //! the optimized solver against `SolverSpec::AdaptiveDense`, or a
 //! straight run against a resumed one. A change that moves both sides
 //! the same way passes them. This test pins the trajectory itself, with
-//! expected values recorded from the eager-potential solver whose
-//! island reads are plain loads and whose every full refresh
-//! recomputes all potentials with the `C⁻¹·q̃` product. Any change to a
+//! expected values recorded from the eager-potential solver over the
+//! truncated `C⁻¹` of the minimum-degree `L·D·Lᵀ` build: each event
+//! updates the islands its `C⁻¹` columns store, and every full refresh
+//! recomputes all potentials with the sparse `C⁻¹·q̃` product. Any change to a
 //! single bit of an adaptive trajectory fails here and has to re-record
 //! the values on purpose.
 //!
@@ -111,15 +112,16 @@ fn ls153_adaptive_trajectories_match_recorded_bits() {
             1_000,
             Golden {
                 events: 10_000,
-                time_bits: 0x3e90_2421_bc23_8cd5,
-                counts: 0xc236_baab_bf42_448a,
-                probe: 0x8c0f_feef_efea_ef75,
-                potentials: 0x88be_8629_12aa_e665,
+                time_bits: 0x3e90_2421_b7bc_174e,
+                counts: 0xe376_6740_c5d2_51f1,
+                probe: 0xbf5d_bf96_c079_ab93,
+                potentials: 0xb6ef_a555_3d5e_7b53,
                 stats: AdaptiveStats {
                     events: 10_011,
-                    junctions_tested: 564_225,
+                    junctions_tested: 564_218,
                     rate_recalcs: 58_785,
                     full_refreshes: 10,
+                    potential_updates: 416_694,
                 },
             },
         ),
@@ -127,15 +129,16 @@ fn ls153_adaptive_trajectories_match_recorded_bits() {
             100,
             Golden {
                 events: 10_000,
-                time_bits: 0x3e8f_9933_b7f6_ba16,
-                counts: 0x54be_3bec_6317_ba93,
-                probe: 0xd4e0_cc02_ac80_5079,
-                potentials: 0x7864_7619_8e51_348e,
+                time_bits: 0x3e8f_9933_b090_c8d3,
+                counts: 0x3cb2_ec1b_a64a_bc9e,
+                probe: 0x8d95_9abe_61fa_1526,
+                potentials: 0xac50_e406_7afe_3840,
                 stats: AdaptiveStats {
                     events: 10_011,
-                    junctions_tested: 561_577,
+                    junctions_tested: 561_570,
                     rate_recalcs: 78_804,
                     full_refreshes: 100,
+                    potential_updates: 418_530,
                 },
             },
         ),
