@@ -76,13 +76,13 @@ pub struct Capacitor {
     pub capacitance: f64,
 }
 
-/// Flat structure-of-arrays junction buffers consumed by the adaptive
-/// solver's batched kernels: one contiguous slice per per-junction
-/// quantity, indexed by raw junction id. The kernels walk these slices
-/// instead of chasing [`Junction`]/[`NodeId`] structs, and the charging
-/// coefficients are precomputed with exactly the arithmetic
-/// [`crate::energy::delta_w`] would evaluate — so a ΔW assembled from
-/// these buffers is bit-identical to the scalar path.
+/// Flat structure-of-arrays junction buffers: one contiguous slice per
+/// per-junction quantity, indexed by raw junction id. The adaptive
+/// solver's testing kernel walks the terminal index lanes instead of
+/// chasing [`Junction`]/[`NodeId`] structs, and every rate evaluation
+/// (`SolverContext::junction_rates`) reads the charging coefficients,
+/// precomputed with exactly the arithmetic [`crate::energy::delta_w`]
+/// would evaluate — so its ΔW is bit-identical to `delta_w`'s.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JunctionSoA {
     /// Island index of `node_a` per junction; [`JunctionSoA::NONE`]
@@ -107,8 +107,6 @@ pub(crate) struct JunctionSoA {
     /// symmetric to the other orientation only to rounding, and
     /// bit-identity demands the exact per-direction entries.
     pub charging_bw: Vec<f64>,
-    /// Normal-state tunnel resistance (Ω) per junction.
-    pub resistance: Vec<f64>,
 }
 
 impl JunctionSoA {
@@ -328,7 +326,7 @@ pub struct Circuit {
     /// Per-lead maximum `|lead_response|` over islands — the scale the
     /// lead sparsification threshold is relative to.
     lead_response_colmax: Vec<f64>,
-    /// Flat SoA junction buffers for the batched kernels.
+    /// Flat SoA junction buffers for the kernels and rate evaluation.
     junction_soa: JunctionSoA,
 }
 
@@ -404,7 +402,6 @@ impl Circuit {
                     circuit.cinv_between(b, b) + circuit.cinv_between(a, a)
                         - 2.0 * circuit.cinv_between(b, a),
                 );
-                soa.resistance.push(j.resistance);
             }
             soa
         };
@@ -612,7 +609,8 @@ impl Circuit {
         self.lead_response.row(lead)
     }
 
-    /// Flat SoA junction buffers consumed by the batched kernels.
+    /// Flat SoA junction buffers read by the kernels and rate
+    /// evaluation.
     pub(crate) fn junction_soa(&self) -> &JunctionSoA {
         &self.junction_soa
     }

@@ -47,9 +47,10 @@ pub enum SolverSpec {
         refresh_interval: u64,
     },
     /// [`SolverSpec::Adaptive`] in dense-reference mode: dependency
-    /// neighbourhoods are recomputed from the dense matrices on every
-    /// event and every step runs per junction on the scalar functions
-    /// instead of the batched kernels. Produces bit-identical output to
+    /// neighbourhoods are recomputed on every event from the stored
+    /// sparse `C⁻¹` columns and the lead response, and every step runs
+    /// per junction or per island on the scalar functions instead of
+    /// the batched kernels. Produces bit-identical output to
     /// `Adaptive` with the same parameters — kept as the oracle the
     /// optimized hot path is validated (and benchmarked) against.
     AdaptiveDense {

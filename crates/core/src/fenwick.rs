@@ -184,55 +184,6 @@ impl FenwickTree {
         self.weights.iter_mut().for_each(|v| *v = 0.0);
         self.peak = 0.0;
     }
-
-    /// Writes the first `ws.len()` slots of an **all-zero** tree in one
-    /// batched pass, reproducing bit-for-bit the tree state that the
-    /// canonical ascending call sequence `set(0, ws[0]) … set(k-1,
-    /// ws[k-1])` would leave behind. This is the adaptive solver's
-    /// from-zero rebuild: each internal node covers a contiguous slot
-    /// range, and the ascending sequence accumulates exactly those
-    /// weights in slot order, so a left fold over the covered range
-    /// reproduces every partial sum with the same floating-point
-    /// association. Zero weights are no-ops under `set` (the delta
-    /// short-circuit), which also keeps `-0.0` out of the stored
-    /// weights; the fold preserves that because its accumulator is
-    /// never `-0.0` (it starts at `+0.0` and only non-negative values
-    /// are admitted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ws` is longer than the tree or any weight is negative
-    /// or NaN. Debug builds additionally assert the tree is cleared.
-    pub fn rebuild_from_zero(&mut self, ws: &[f64]) {
-        assert!(
-            ws.len() <= self.weights.len(),
-            "rebuild_from_zero: {} weights into {} slots",
-            ws.len(),
-            self.weights.len()
-        );
-        debug_assert!(
-            self.weights.iter().all(|&w| w == 0.0) && self.tree.iter().all(|&v| v == 0.0),
-            "rebuild_from_zero needs a cleared tree"
-        );
-        for (slot, &w) in ws.iter().enumerate() {
-            assert!(w >= 0.0, "fenwick weight must be non-negative, got {w}");
-            if w > self.peak {
-                self.peak = w;
-            }
-            self.weights[slot] = if w == 0.0 { 0.0 } else { w };
-        }
-        // tree[idx] (1-based) covers slots (idx − lowbit(idx), idx];
-        // slots past `ws.len()` are still zero and contribute exact
-        // no-op additions.
-        for idx in 1..self.tree.len() {
-            let lowbit = idx & idx.wrapping_neg();
-            let mut s = 0.0;
-            for slot in (idx - lowbit)..idx {
-                s += self.weights[slot];
-            }
-            self.tree[idx] = s;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -374,57 +325,6 @@ mod tests {
                 assert_eq!(t.sample(u), Some(i), "n={n} i={i}");
             }
             assert_eq!(t.sample(1.0), Some(n - 1), "n={n}");
-        }
-    }
-
-    #[test]
-    fn rebuild_from_zero_matches_sequential_sets_bitwise() {
-        for n in [0usize, 1, 2, 3, 5, 8, 9, 64, 100, 257] {
-            let ws: Vec<f64> = (0..n)
-                .map(|i| match i % 4 {
-                    0 => 0.0,
-                    1 => 1.0 / (i as f64 + 0.25),
-                    2 => (i as f64).sqrt() * 1e-7,
-                    _ => i as f64 * std::f64::consts::PI,
-                })
-                .collect();
-            let mut seq = FenwickTree::new(n);
-            for (i, &w) in ws.iter().enumerate() {
-                seq.set(i, w);
-            }
-            let mut batched = FenwickTree::new(n);
-            batched.rebuild_from_zero(&ws);
-            assert_eq!(seq.tree.len(), batched.tree.len());
-            for (a, b) in seq.tree.iter().zip(&batched.tree) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
-            }
-            for (a, b) in seq.weights.iter().zip(&batched.weights) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
-            }
-            assert_eq!(seq.peak.to_bits(), batched.peak.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn rebuild_from_zero_prefix_leaves_tail_slots_writable() {
-        // The solver rebuilds only the tunnel slots; the secondary
-        // (cotunnel/Cooper) slots are written incrementally afterwards.
-        let mut seq = FenwickTree::new(6);
-        let mut batched = FenwickTree::new(6);
-        let head = [1.5, 0.0, 2.25, 0.5];
-        for (i, &w) in head.iter().enumerate() {
-            seq.set(i, w);
-        }
-        batched.rebuild_from_zero(&head);
-        seq.set(4, 3.0);
-        seq.set(5, 0.125);
-        batched.set(4, 3.0);
-        batched.set(5, 0.125);
-        for (a, b) in seq.tree.iter().zip(&batched.tree) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for i in 0..6 {
-            assert_eq!(seq.get(i).to_bits(), batched.get(i).to_bits());
         }
     }
 

@@ -11,12 +11,11 @@
 //!
 //! Every kernel is **bit-identical** to the scalar functions that
 //! `SolverSpec::AdaptiveDense` — the oracle — runs instead:
-//! [`crate::energy::delta_w`], [`crate::energy::potential_delta`] /
-//! [`crate::energy::lead_step_delta`] (per junction terminal in the
-//! tests, per island in the potential update), `orthodox_rate` /
-//! `QpRateTable::rate`, and sequential `FenwickTree::set` calls. For
-//! the same inputs a kernel produces exactly the oracle's bytes,
-//! junction for junction and island for island, because
+//! [`crate::energy::potential_delta`] /
+//! [`crate::energy::lead_step_delta`], per junction terminal in the
+//! tests and per island in the potential update. For the same inputs a
+//! kernel produces exactly the oracle's bytes, junction for junction and
+//! island for island, because
 //!
 //! * a kernel reads entry `(r, c)` from the one stored `C⁻¹` where the
 //!   scalar functions' [`Circuit::cinv`] reads it, entry `r` of column
@@ -29,29 +28,16 @@
 //!   island outside them reads `+0.0` in the tests where the oracle's
 //!   `ke·0.0` may be `−0.0` — which changes no testing factor, because
 //!   a factor starts at `+0.0` and so is never `−0.0`;
-//! * per-lane arithmetic replicates the scalar expressions operand for
-//!   operand (the [`JunctionSoA`] charging coefficients are
-//!   precomputed with `delta_w`'s exact operand order; the oracle's
-//!   per-junction rates read the same coefficients, and
-//!   `delta_w_all_matches_scalar_delta_w_bitwise` holds them to
-//!   `delta_w` itself);
 //! * nothing reassociates: per-junction and per-island computations are
 //!   independent, and each island adds one event's delta per call, in
 //!   event order.
 //!
-//! ## Error ordering
-//!
-//! On the non-error path the batched kernels are bit-identical. On
-//! *error* paths (non-finite ΔW or rate, which terminate the
-//! simulation) the batched rewrite computes pure float lanes for
-//! junctions past the failing one before the screen runs; the
-//! surfaced error — first failing junction in ascending order, same
-//! fault stage — is identical, but dead scratch state may differ.
+//! Rates are not computed here: both solvers and the oracle write them
+//! junction by junction through `SolverContext::junction_rates`.
 
 use crate::circuit::{Circuit, JunctionId, JunctionSoA};
 use crate::constants::E_CHARGE;
-use crate::rates::orthodox_rates;
-use crate::solver::{StateChange, TunnelModel};
+use crate::solver::StateChange;
 
 /// One transfer's potential change per island, computed once: dense
 /// over the islands, nonzero only on the union of the two endpoints'
@@ -106,17 +92,6 @@ fn step_lane(island: u32, terminal_lead: u32, lead: u32, dv: f64, lr: &[f64]) ->
         dv
     } else {
         0.0
-    }
-}
-
-/// Terminal potential from the SoA index pair: cached island potential
-/// for islands, instantaneous voltage for leads.
-#[inline(always)]
-fn lane_potential(island: u32, lead: u32, phi: &[f64], lead_voltages: &[f64]) -> f64 {
-    if island != JunctionSoA::NONE {
-        phi[island as usize]
-    } else {
-        lead_voltages[lead as usize]
     }
 }
 
@@ -177,43 +152,6 @@ pub(crate) fn test_factors(
                 );
             }
         }
-    }
-}
-
-/// Batched ΔW kernel: forward and backward single-electron
-/// free-energy changes of every junction from the SoA buffers and the
-/// current potentials — per junction the exact expression of
-/// [`crate::energy::delta_w`] with `count = 1`.
-pub(crate) fn delta_w_all(
-    circuit: &Circuit,
-    phi: &[f64],
-    lead_voltages: &[f64],
-    dw_fw: &mut [f64],
-    dw_bw: &mut [f64],
-) {
-    let soa = circuit.junction_soa();
-    for idx in 0..circuit.num_junctions() {
-        let pa = lane_potential(soa.a_island[idx], soa.a_lead[idx], phi, lead_voltages);
-        let pb = lane_potential(soa.b_island[idx], soa.b_lead[idx], phi, lead_voltages);
-        dw_fw[idx] = E_CHARGE * (pa - pb) + 0.5 * E_CHARGE * E_CHARGE * soa.charging_fw[idx];
-        dw_bw[idx] = E_CHARGE * (pb - pa) + 0.5 * E_CHARGE * E_CHARGE * soa.charging_bw[idx];
-    }
-}
-
-/// Batched directed-rate kernel: `out[i] = Γ(dw[i], resistance[i])`
-/// (`out` is cleared first) — per lane the exact `orthodox_rate` /
-/// `QpRateTable::rate` of the model.
-pub(crate) fn tunnel_rates(
-    model: &TunnelModel,
-    kt: f64,
-    dw: &[f64],
-    resistance: &[f64],
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    match model {
-        TunnelModel::Normal => orthodox_rates(dw, resistance, kt, out),
-        TunnelModel::Quasiparticle(table) => table.rates_batch(dw, resistance, out),
     }
 }
 
@@ -278,11 +216,10 @@ pub(crate) fn potential_update(
 mod tests {
     use super::*;
     use crate::circuit::{CircuitBuilder, NodeId};
-    use crate::constants::{ev_to_joule, K_B};
+    use crate::constants::K_B;
     use crate::energy::{delta_w, CircuitState};
-    use crate::rates::orthodox_rate;
-    use crate::solver::{add_node_deltas, AdaptiveSolver};
-    use crate::superconduct::QpRateTable;
+    use crate::events::RateLayout;
+    use crate::solver::{add_node_deltas, AdaptiveSolver, SolverContext, TunnelModel};
 
     /// Eleven coupled islands (a chain with a gate lead and a cross
     /// capacitor) plus two isolated SET islands between the supply and
@@ -422,53 +359,27 @@ mod tests {
     }
 
     #[test]
-    fn delta_w_all_matches_scalar_delta_w_bitwise() {
+    fn junction_rates_match_scalar_delta_w_bitwise() {
+        // Both solvers' rates read the SoA charging coefficients through
+        // `junction_rates`; its ΔW must be `delta_w`'s, bit for bit.
         let c = rig();
         let mut state = CircuitState::new(&c);
         state.set_lead_voltage(2, 2.5e-3);
         state.apply_transfer(&c, c.island_node(3), c.island_node(4), 1);
         state.recompute_potentials(&c);
-        let nj = c.num_junctions();
-        let (mut fw, mut bw) = (vec![0.0; nj], vec![0.0; nj]);
-        delta_w_all(
-            &c,
-            state.island_potentials(),
-            state.lead_voltages(),
-            &mut fw,
-            &mut bw,
-        );
-        for (idx, j) in c.junctions().iter().enumerate() {
-            let efw = delta_w(&c, &state, j.node_a, j.node_b, 1);
-            let ebw = delta_w(&c, &state, j.node_b, j.node_a, 1);
-            assert_eq!(fw[idx].to_bits(), efw.to_bits(), "junction {idx}");
-            assert_eq!(bw[idx].to_bits(), ebw.to_bits(), "junction {idx}");
-        }
-    }
-
-    #[test]
-    fn tunnel_rates_match_scalar_rates_bitwise() {
-        let kt = K_B * 4.2;
-        let dw: Vec<f64> = (0..13).map(|i| (i as f64 - 6.0) * 3e-23).collect();
-        let rs: Vec<f64> = (0..13).map(|i| 1e6 + 1e5 * i as f64).collect();
-        let mut out = vec![42.0];
-        tunnel_rates(&TunnelModel::Normal, kt, &dw, &rs, &mut out);
-        assert_eq!(out.len(), dw.len());
-        for ((g, &w), &r) in out.iter().zip(&dw).zip(&rs) {
-            assert_eq!(g.to_bits(), orthodox_rate(w, kt, r).to_bits());
-        }
-
-        let kt = K_B * 0.3;
-        let gap = ev_to_joule(0.2e-3);
-        let table = QpRateTable::build(gap, kt, 6.0 * gap).unwrap();
-        // Queries straddle ±2Δ (the sub-gap edge) and leave the table's
-        // range on both sides.
-        let dw: Vec<f64> = (0..21).map(|i| (i as f64 - 10.0) * 0.7 * gap).collect();
-        let rs: Vec<f64> = (0..21).map(|i| 1e6 + 1e5 * i as f64).collect();
-        let model = TunnelModel::Quasiparticle(table.clone());
-        tunnel_rates(&model, kt, &dw, &rs, &mut out);
-        assert_eq!(out.len(), dw.len());
-        for ((g, &w), &r) in out.iter().zip(&dw).zip(&rs) {
-            assert_eq!(g.to_bits(), table.rate(w, r).to_bits());
+        let layout = RateLayout {
+            junctions: c.num_junctions(),
+            cotunnel_paths: 0,
+            cooper_pairs: false,
+        };
+        let model = TunnelModel::Normal;
+        let ctx = SolverContext::new(&c, K_B * 4.2, &model, layout);
+        for (j, junction) in c.junction_ids().zip(c.junctions()) {
+            let (fw, _, bw, _) = ctx.junction_rates(&state, j);
+            let efw = delta_w(&c, &state, junction.node_a, junction.node_b, 1);
+            let ebw = delta_w(&c, &state, junction.node_b, junction.node_a, 1);
+            assert_eq!(fw.to_bits(), efw.to_bits(), "{j:?}");
+            assert_eq!(bw.to_bits(), ebw.to_bits(), "{j:?}");
         }
     }
 

@@ -22,9 +22,10 @@
 //! * [`master`] — the paper's third method: a bounded-window
 //!   master-equation solver (device-level, noise-free reference).
 //! * [`solver`] — the non-adaptive (conventional MC) and adaptive
-//!   solvers; the adaptive hot loop runs batched kernels over flat
-//!   structure-of-arrays junction buffers, bit-identical to the
-//!   per-junction scalar path its dense-reference mode keeps.
+//!   solvers; the adaptive hot loop runs its potential update and
+//!   testing factors as batched kernels over flat structure-of-arrays
+//!   buffers, bit-identical to the per-island and per-junction scalar
+//!   path its dense-reference mode keeps.
 //! * [`engine`] — the Monte Carlo event loop (Eq. 5), stimuli, recording
 //!   and the per-point sweep measurement.
 //! * [`health`] — numerical health guards, drift audits with graceful

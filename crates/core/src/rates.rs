@@ -40,25 +40,6 @@ pub fn orthodox_rate(dw: f64, kt: f64, resistance: f64) -> f64 {
     kt * occupancy_factor(dw / kt) / e2r
 }
 
-/// Batched orthodox rates: appends `orthodox_rate(dw[i], kt,
-/// resistance[i])` to `out` for every lane. This is the contiguous-
-/// slice entry point the adaptive solver's rate kernel feeds from its
-/// SoA ΔW buffers; each lane is the scalar [`orthodox_rate`], so the
-/// batch is bit-identical to a scalar loop.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn orthodox_rates(dw: &[f64], resistance: &[f64], kt: f64, out: &mut Vec<f64>) {
-    assert_eq!(dw.len(), resistance.len(), "rate batch length mismatch");
-    out.reserve(dw.len());
-    out.extend(
-        dw.iter()
-            .zip(resistance)
-            .map(|(&w, &r)| orthodox_rate(w, kt, r)),
-    );
-}
-
 /// Detailed-balance ratio `Γ(ΔW)/Γ(−ΔW) = exp(−ΔW/kT)` — exposed for
 /// tests and diagnostics.
 ///

@@ -86,7 +86,7 @@ pub struct ResourceEstimate {
     /// The three precomputed incidence/dependency tables.
     pub neighborhood_bytes: u64,
     /// Hot-loop kernel buffers: the per-junction structure-of-arrays
-    /// (four `u32` index lanes, three `f64` lanes).
+    /// (four `u32` index lanes, two `f64` lanes).
     pub kernel_bytes: u64,
     /// Journal append buffer allowance (constant).
     pub journal_buffer_bytes: u64,
@@ -138,11 +138,11 @@ impl ResourceEstimate {
             neighborhood_bytes: entries
                 .saturating_mul(F64)
                 .saturating_add(rows.saturating_mul(VEC_HEADER)),
-            // Four `u32` lanes + three `f64` lanes, each `junctions`
-            // long, in seven `Vec`s.
+            // Four `u32` lanes + two `f64` lanes, each `junctions`
+            // long, in six `Vec`s.
             kernel_bytes: j
-                .saturating_mul(4 * 4 + 3 * F64)
-                .saturating_add(7 * VEC_HEADER),
+                .saturating_mul(4 * 4 + 2 * F64)
+                .saturating_add(6 * VEC_HEADER),
             journal_buffer_bytes: JOURNAL_BUFFER,
         }
     }
@@ -182,8 +182,7 @@ impl ResourceEstimate {
             + 4 * (soa.b_lead.len() as u64)
             + F64 * (soa.charging_fw.len() as u64)
             + F64 * (soa.charging_bw.len() as u64)
-            + F64 * (soa.resistance.len() as u64)
-            + 7 * VEC_HEADER;
+            + 6 * VEC_HEADER;
         ResourceEstimate {
             islands,
             leads,

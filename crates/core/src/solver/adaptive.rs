@@ -15,12 +15,14 @@
 //! the coupling it misses is below that threshold and is picked up at
 //! the next full refresh.
 //!
-//! The optimized path runs the batched kernels of `crate::kernels` over
-//! flat structure-of-arrays junction buffers. A `dense_reference` mode
+//! The optimized path runs the per-event kernels of `crate::kernels`
+//! (the potential update and the testing factors) over flat
+//! structure-of-arrays junction buffers. A `dense_reference` mode
 //! evaluates neighbourhood membership from `C⁻¹` and lead-response
 //! entries per event and runs every step in its per-junction or
 //! per-island scalar form; it is the bit-identity oracle the optimized
-//! path is validated against.
+//! path is validated against. Both modes write rates one way, junction
+//! by junction through `write_junction_rates`.
 //!
 //! ## Potential bookkeeping
 //!
@@ -44,7 +46,7 @@
 use crate::circuit::{Circuit, JunctionId, NodeId};
 use crate::energy::{lead_step_delta, potential_delta, CircuitState};
 use crate::fenwick::FenwickTree;
-use crate::health::{screen_finite, screen_rate, FaultStage};
+use crate::health::{screen_finite, FaultStage};
 use crate::kernels::{self, EventDelta};
 use crate::solver::{add_node_deltas, write_junction_rates, SolverContext, StateChange};
 use crate::CoreError;
@@ -98,11 +100,6 @@ pub struct AdaptiveSolver {
     /// Junctions whose testing factor crossed the gate this event —
     /// reused allocation.
     flagged_scratch: Vec<JunctionId>,
-    /// Batched forward/backward rate buffers for `rewrite_all_rates`.
-    gfw_scratch: Vec<f64>,
-    gbw_scratch: Vec<f64>,
-    /// Screened tunnel weights for the from-zero Fenwick rebuild.
-    weights_scratch: Vec<f64>,
 }
 
 impl AdaptiveSolver {
@@ -125,19 +122,17 @@ impl AdaptiveSolver {
             event_delta: EventDelta::new(circuit.num_islands()),
             tested_scratch: Vec::new(),
             flagged_scratch: Vec::new(),
-            gfw_scratch: Vec::new(),
-            gbw_scratch: Vec::new(),
-            weights_scratch: Vec::new(),
         }
     }
 
     /// Switches this solver to dense-reference mode: dependency
     /// membership is recomputed from `C⁻¹`/lead-response entries on
-    /// every event, tests and rate writes run per junction and the
-    /// potential update per island on the scalar functions, over the
-    /// stored `C⁻¹` columns. Slower, but free of precomputed
-    /// neighbourhoods, supports and batched kernels — the oracle the
-    /// optimized path is asserted bit-identical against.
+    /// every event, tests run per junction and the potential update per
+    /// island on the scalar functions, over the stored `C⁻¹` columns.
+    /// Slower, but free of precomputed neighbourhoods, supports and
+    /// batched kernels — the oracle the optimized path is asserted
+    /// bit-identical against. Rates are written as in the optimized
+    /// path, junction by junction.
     pub fn with_dense_reference(mut self) -> Self {
         self.dense_reference = true;
         self
@@ -158,16 +153,14 @@ impl AdaptiveSolver {
         &self.stats
     }
 
-    /// Computes every potential and rate from scratch. The rate table
-    /// is freshly zeroed at construction, so the rewrite may use the
-    /// from-zero batched Fenwick rebuild.
+    /// Computes every potential and rate from scratch.
     pub(crate) fn initialize(
         &mut self,
         ctx: &SolverContext<'_>,
         state: &mut CircuitState,
         rates: &mut FenwickTree,
     ) -> Result<(), CoreError> {
-        self.full_refresh(ctx, state, rates, true)?;
+        self.full_refresh(ctx, state, rates)?;
         // initialize() is not a "refresh" in the statistics sense.
         self.stats.full_refreshes = self.stats.full_refreshes.saturating_sub(1);
         Ok(())
@@ -178,104 +171,40 @@ impl AdaptiveSolver {
     /// `C⁻¹·q̃` product (never the accumulated deltas, whose rounding
     /// depends on history — checkpoint/resume relies on both sides
     /// reaching bit-identical potentials), screens them, and rewrites
-    /// every rate. `rates_from_zero` as for
-    /// [`AdaptiveSolver::rewrite_all_rates`].
+    /// every junction's rates in canonical (ascending) order, resetting
+    /// the `ΔW'`/`b₀` caches.
     pub(crate) fn full_refresh(
         &mut self,
         ctx: &SolverContext<'_>,
         state: &mut CircuitState,
         rates: &mut FenwickTree,
-        rates_from_zero: bool,
     ) -> Result<(), CoreError> {
         state.recompute_potentials(ctx.circuit);
         for (island, &phi) in state.island_potentials().iter().enumerate() {
             screen_finite(FaultStage::IslandPotential, Some(island), phi)?;
         }
-        self.rewrite_all_rates(ctx, state, rates, rates_from_zero)?;
+        for j in ctx.circuit.junction_ids() {
+            self.recompute(ctx, state, rates, j)?;
+        }
         self.stats.full_refreshes += 1;
         self.events_since_refresh = 0;
         Ok(())
     }
 
-    /// Recomputes every junction's rates from the current potentials in
-    /// canonical (ascending) order, resetting the `ΔW'`/`b₀` caches.
-    ///
-    /// The optimized path runs the batched kernels: all ΔW from the SoA
-    /// buffers, then all directed rates, then per-junction screening
-    /// and slot writes in the exact scalar order — so values, write
-    /// sequence and the surfaced error (first failing junction, same
-    /// fault stage) are identical to the per-junction loop.
-    /// `rates_from_zero` marks the rate table as freshly zeroed (solver
-    /// construction), enabling the batched Fenwick rebuild; periodic
-    /// refreshes and resyncs overwrite slots incrementally and must
-    /// pass `false`. Dense-reference mode (and fault-injected runs)
-    /// keep the per-junction [`write_junction_rates`] loop.
-    fn rewrite_all_rates(
+    /// Rewrites junction `j`'s rates and resets its `ΔW'`/`b₀` caches.
+    fn recompute(
         &mut self,
         ctx: &SolverContext<'_>,
         state: &CircuitState,
         rates: &mut FenwickTree,
-        rates_from_zero: bool,
+        j: JunctionId,
     ) -> Result<(), CoreError> {
-        let circuit = ctx.circuit;
-        #[cfg(feature = "fault-inject")]
-        let use_reference = self.dense_reference || ctx.poison_rate.is_some();
-        #[cfg(not(feature = "fault-inject"))]
-        let use_reference = self.dense_reference;
-        if use_reference {
-            for j in circuit.junction_ids() {
-                let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
-                self.dw_fw[j.index()] = dw_fw;
-                self.dw_bw[j.index()] = dw_bw;
-                self.b0[j.index()] = 0.0;
-            }
-            self.stats.rate_recalcs += circuit.num_junctions() as u64;
-            return Ok(());
-        }
-        let resistance = &circuit.junction_soa().resistance;
-        kernels::delta_w_all(
-            circuit,
-            &state.phi,
-            state.lead_voltages(),
-            &mut self.dw_fw,
-            &mut self.dw_bw,
-        );
-        let mut gfw = std::mem::take(&mut self.gfw_scratch);
-        let mut gbw = std::mem::take(&mut self.gbw_scratch);
-        kernels::tunnel_rates(ctx.model, ctx.kt, &self.dw_fw, resistance, &mut gfw);
-        kernels::tunnel_rates(ctx.model, ctx.kt, &self.dw_bw, resistance, &mut gbw);
-        let mut weights = std::mem::take(&mut self.weights_scratch);
-        weights.clear();
-        for j in circuit.junction_ids() {
-            let idx = j.index();
-            let jx = Some(idx);
-            screen_finite(FaultStage::FreeEnergy, jx, self.dw_fw[idx])?;
-            screen_finite(FaultStage::FreeEnergy, jx, self.dw_bw[idx])?;
-            if rates_from_zero {
-                // tunnel_slot(j, fw) = 2j, (j, bw) = 2j + 1: pushing
-                // fw then bw per ascending junction lays the weights
-                // out slot-contiguously for the batched rebuild.
-                weights.push(screen_rate(FaultStage::TunnelRate, jx, gfw[idx])?);
-                weights.push(screen_rate(FaultStage::TunnelRate, jx, gbw[idx])?);
-            } else {
-                rates.set(
-                    ctx.layout.tunnel_slot(j, true),
-                    screen_rate(FaultStage::TunnelRate, jx, gfw[idx])?,
-                );
-                rates.set(
-                    ctx.layout.tunnel_slot(j, false),
-                    screen_rate(FaultStage::TunnelRate, jx, gbw[idx])?,
-                );
-            }
-            self.b0[idx] = 0.0;
-        }
-        if rates_from_zero {
-            rates.rebuild_from_zero(&weights);
-        }
-        self.weights_scratch = weights;
-        self.gfw_scratch = gfw;
-        self.gbw_scratch = gbw;
-        self.stats.rate_recalcs += circuit.num_junctions() as u64;
+        let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
+        let idx = j.index();
+        self.dw_fw[idx] = dw_fw;
+        self.dw_bw[idx] = dw_bw;
+        self.b0[idx] = 0.0;
+        self.stats.rate_recalcs += 1;
         Ok(())
     }
 
@@ -353,9 +282,8 @@ impl AdaptiveSolver {
 
         if self.events_since_refresh >= self.refresh_interval {
             // Periodic full recalculation (paper: "all junction
-            // tunneling rates are recalculated periodically"). The
-            // rate table holds live values here — incremental rewrite.
-            return self.full_refresh(ctx, state, rates, false);
+            // tunneling rates are recalculated periodically").
+            return self.full_refresh(ctx, state, rates);
         }
 
         // Test exactly the junctions in the disturbance's dependency
@@ -470,12 +398,7 @@ impl AdaptiveSolver {
             &mut flagged,
         );
         for &j in &flagged {
-            let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
-            let idx = j.index();
-            self.dw_fw[idx] = dw_fw;
-            self.dw_bw[idx] = dw_bw;
-            self.b0[idx] = 0.0;
-            self.stats.rate_recalcs += 1;
+            self.recompute(ctx, state, rates, j)?;
         }
         self.flagged_scratch = flagged;
         self.tested_scratch = tested;
@@ -507,11 +430,7 @@ impl AdaptiveSolver {
         // compare against the smaller magnitude.
         let gate = self.threshold * self.dw_fw[idx].abs().min(self.dw_bw[idx].abs());
         if b.abs() >= gate {
-            let (dw_fw, dw_bw) = write_junction_rates(ctx, state, rates, j)?;
-            self.dw_fw[idx] = dw_fw;
-            self.dw_bw[idx] = dw_bw;
-            self.b0[idx] = 0.0;
-            self.stats.rate_recalcs += 1;
+            self.recompute(ctx, state, rates, j)?;
         } else {
             self.b0[idx] = b;
         }

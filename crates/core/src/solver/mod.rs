@@ -157,7 +157,7 @@ impl Solver {
         rates: &mut FenwickTree,
     ) -> Result<(), CoreError> {
         match self {
-            Solver::NonAdaptive(s) => s.initialize(ctx, state, rates),
+            Solver::NonAdaptive(s) => s.resync(ctx, state, rates),
             Solver::Adaptive(s) => s.initialize(ctx, state, rates),
         }
     }
@@ -190,9 +190,7 @@ impl Solver {
     ) -> Result<(), CoreError> {
         match self {
             Solver::NonAdaptive(s) => s.resync(ctx, state, rates),
-            // The table may hold pre-resync values: overwrite
-            // incrementally, never with the from-zero rebuild.
-            Solver::Adaptive(s) => s.full_refresh(ctx, state, rates, false),
+            Solver::Adaptive(s) => s.full_refresh(ctx, state, rates),
         }
     }
 

@@ -36,20 +36,6 @@ impl NonAdaptiveSolver {
         self.rate_recalcs
     }
 
-    pub(crate) fn initialize(
-        &mut self,
-        ctx: &SolverContext<'_>,
-        state: &mut CircuitState,
-        rates: &mut FenwickTree,
-    ) -> Result<(), CoreError> {
-        state.recompute_potentials(ctx.circuit);
-        for j in ctx.circuit.junction_ids() {
-            write_junction_rates(ctx, state, rates, j)?;
-        }
-        self.rate_recalcs += ctx.circuit.num_junctions() as u64;
-        Ok(())
-    }
-
     pub(crate) fn apply_change(
         &mut self,
         ctx: &SolverContext<'_>,
@@ -73,9 +59,9 @@ impl NonAdaptiveSolver {
     }
 
     /// Rebuilds potentials and every rate from scratch (the caller has
-    /// cleared the rate table). Resets the exact-refresh phase so a
-    /// resumed run schedules its periodic recomputes identically to an
-    /// uninterrupted one.
+    /// cleared the rate table), at initialization and on resync. Resets
+    /// the exact-refresh phase so a resumed run schedules its periodic
+    /// recomputes identically to an uninterrupted one.
     pub(crate) fn resync(
         &mut self,
         ctx: &SolverContext<'_>,
@@ -103,7 +89,7 @@ mod tests {
     use crate::circuit::{CircuitBuilder, NodeId};
     use crate::constants::K_B;
     use crate::events::RateLayout;
-    use crate::solver::TunnelModel;
+    use crate::solver::{Solver, TunnelModel};
 
     fn set_ctx_and_state() -> (crate::circuit::Circuit, CircuitState) {
         let mut b = CircuitBuilder::new();
@@ -129,7 +115,7 @@ mod tests {
         let model = TunnelModel::Normal;
         let ctx = SolverContext::new(&c, K_B * 5.0, &model, layout);
         let mut rates = FenwickTree::new(layout.len());
-        let mut solver = NonAdaptiveSolver::new();
+        let mut solver = Solver::NonAdaptive(NonAdaptiveSolver::new());
         solver.initialize(&ctx, &mut s, &mut rates).unwrap();
         assert!(rates.total() > 0.0);
         assert_eq!(solver.rate_recalcs(), 2);
@@ -147,7 +133,7 @@ mod tests {
         let ctx = SolverContext::new(&c, K_B * 5.0, &model, layout);
         let mut rates = FenwickTree::new(layout.len());
         let mut solver = NonAdaptiveSolver::new();
-        solver.initialize(&ctx, &mut s, &mut rates).unwrap();
+        solver.resync(&ctx, &mut s, &mut rates).unwrap();
 
         let island = c.island_node(0);
         // Apply a few transfers and a lead step through the solver.

@@ -127,12 +127,6 @@ pub fn qp_integral(dw: f64, gap1: f64, gap2: f64, kt: f64) -> f64 {
     total
 }
 
-/// Quasi-particle tunneling rate (1/s) through a junction of resistance
-/// `r`, from first principles (slow; prefer [`QpRateTable`] in loops).
-pub fn qp_rate(dw: f64, gap1: f64, gap2: f64, kt: f64, r: f64) -> f64 {
-    qp_integral(dw, gap1, gap2, kt) / (E_CHARGE * E_CHARGE * r)
-}
-
 /// Ambegaokar–Baratoff Josephson coupling energy (J) of a junction of
 /// normal-state resistance `r` at gap `gap` and thermal energy `kt`:
 /// `E_J = (R_Q / 2R_N) · Δ(T) · tanh(Δ(T)/2kT)`.
@@ -246,24 +240,6 @@ impl QpRateTable {
     #[inline]
     pub fn rate(&self, dw: f64, r: f64) -> f64 {
         (self.table.eval_linear(dw) / (E_CHARGE * E_CHARGE * r)).max(0.0)
-    }
-
-    /// Batched quasi-particle rates: appends `rate(dws[i], rs[i])` to
-    /// `out` for every lane, evaluating the lookup table through its
-    /// batch entry point. Each lane reproduces [`QpRateTable::rate`]
-    /// bit-for-bit (the table batch is a per-lane map of the scalar
-    /// interpolation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn rates_batch(&self, dws: &[f64], rs: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(dws.len(), rs.len(), "rate batch length mismatch");
-        let start = out.len();
-        self.table.eval_linear_batch(dws, out);
-        for (y, &r) in out[start..].iter_mut().zip(rs) {
-            *y = (*y / (E_CHARGE * E_CHARGE * r)).max(0.0);
-        }
     }
 
     /// The table [`Simulation::new`](crate::engine::Simulation::new)

@@ -39,7 +39,7 @@ pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use sparse::{LdlFactor, SparseColumn, SparseColumns, SymmetricMatrix};
-pub use vector::{axpy, dot, norm_inf, norm_two};
+pub use vector::{dot, norm_inf};
 
 /// A pivot this small is treated as zero: an LU pivot whose magnitude
 /// is below it, an LDLᵀ pivot that is not above it. The test is absolute,

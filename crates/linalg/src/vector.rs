@@ -21,27 +21,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// In-place `y += alpha * x`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-///
-/// # Example
-///
-/// ```
-/// let mut y = vec![1.0, 1.0];
-/// semsim_linalg::axpy(2.0, &[1.0, 3.0], &mut y);
-/// assert_eq!(y, vec![3.0, 7.0]);
-/// ```
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Maximum absolute entry (infinity norm). Returns 0 for an empty slice.
 ///
 /// # Example
@@ -52,18 +31,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
-}
-
-/// Euclidean norm. Returns 0 for an empty slice.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(semsim_linalg::norm_two(&[3.0, 4.0]), 5.0);
-/// ```
-#[inline]
-pub fn norm_two(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -82,16 +49,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_zero_alpha_is_noop() {
-        let mut y = vec![1.0, 2.0];
-        axpy(0.0, &[9.0, 9.0], &mut y);
-        assert_eq!(y, vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn norms() {
         assert_eq!(norm_inf(&[]), 0.0);
-        assert_eq!(norm_two(&[]), 0.0);
         assert_eq!(norm_inf(&[-7.0]), 7.0);
     }
 }

@@ -37,6 +37,7 @@ mod compile;
 mod error;
 pub mod lint;
 mod logic_file;
+mod render;
 
 pub use circuit_file::{
     CapacitorDecl, CircuitFile, CircuitSpans, JumpDecl, JunctionDecl, LintAllow, ProbeDecl,
@@ -46,3 +47,4 @@ pub use compile::{CompiledCircuit, ExecutionKind};
 pub use error::ParseError;
 pub use lint::{lint_circuit, lint_logic};
 pub use logic_file::{gate_set_count, Gate, GateKind, LogicFile, RawLogicFile};
+pub use render::{point_line, ResultLine};

@@ -214,24 +214,6 @@ impl LookupTable {
         let (y0, y1) = (self.ys[idx - 1], self.ys[idx]);
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     }
-
-    /// Batched [`LookupTable::eval`] over a slice of query points.
-    ///
-    /// Appends one value per query to `out`. Each lane is evaluated by
-    /// the scalar `eval`, so the batch is bit-identical to looping over
-    /// the queries.
-    pub fn eval_batch(&self, queries: &[f64], out: &mut Vec<f64>) {
-        out.reserve(queries.len());
-        out.extend(queries.iter().map(|&x| self.eval(x)));
-    }
-
-    /// Batched [`LookupTable::eval_linear`] over a slice of query
-    /// points. Appends one value per query to `out`; bit-identical to
-    /// the scalar loop (same per-lane arithmetic).
-    pub fn eval_linear_batch(&self, queries: &[f64], out: &mut Vec<f64>) {
-        out.reserve(queries.len());
-        out.extend(queries.iter().map(|&x| self.eval_linear(x)));
-    }
 }
 
 #[cfg(test)]
@@ -426,24 +408,6 @@ mod tests {
                 t.eval_linear(x).to_bits(),
                 eval_binary_search(&t, x).to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn batch_eval_is_bit_identical_to_scalar_loop() {
-        let t = LookupTable::from_fn(|x| (1.3 * x).cos() * x, -4.0, 9.0, 137).unwrap();
-        let queries: Vec<f64> = (0..500).map(|i| -6.0 + i as f64 * 0.033).collect();
-        let mut batch = vec![0.0; 3]; // pre-seeded: eval_batch appends
-        let seed_len = batch.len();
-        t.eval_batch(&queries, &mut batch);
-        assert_eq!(batch.len(), seed_len + queries.len());
-        for (q, b) in queries.iter().zip(&batch[seed_len..]) {
-            assert_eq!(t.eval(*q).to_bits(), b.to_bits());
-        }
-        let mut linear = Vec::new();
-        t.eval_linear_batch(&queries, &mut linear);
-        for (q, b) in queries.iter().zip(&linear) {
-            assert_eq!(t.eval_linear(*q).to_bits(), b.to_bits());
         }
     }
 

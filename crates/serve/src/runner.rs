@@ -10,80 +10,25 @@
 //! determinism contract makes the thread budget invisible in the
 //! results anyway.
 //!
-//! Result lines match the `semsim sweep` CLI exactly — one
-//! `control current outcome` line per sweep point (`replica …` for
-//! ensembles), comment lines for faulted or cancelled points — so a
-//! streamed job diffs cleanly against a local run of the same netlist.
+//! Result lines are rendered by [`semsim_netlist::point_line`], as
+//! `semsim sweep` renders them — one `control current outcome` line per
+//! sweep point (`replica …` for ensembles), comment lines for faulted
+//! or cancelled points — so a streamed job diffs cleanly against a
+//! local run of the same netlist.
 
 use std::path::Path;
 
-use semsim_core::batch::{
-    batch_ensemble, BatchOpts, BatchReport, PointStatus, ReplicaSummary, RetryPolicy,
-};
+use semsim_core::batch::{batch_ensemble, BatchOpts, BatchReport, ReplicaSummary, RetryPolicy};
 use semsim_core::engine::{RunLength, SimConfig, SweepPoint};
-use semsim_core::health::{HealthReport, RunOutcome, Supervisor};
+use semsim_core::health::{HealthReport, Supervisor};
 use semsim_core::journal::{read_header, scan, JournalItem};
 use semsim_core::par::ParOpts;
 use semsim_core::resource::ResourceEstimate;
 use semsim_logic::{elaborate, SetLogicParams};
-use semsim_netlist::{CircuitFile, ExecutionKind, LogicFile};
+use semsim_netlist::{point_line, CircuitFile, ExecutionKind, LogicFile, ResultLine};
 
 use crate::api::{parse_job, JobSpec, SourceFormat};
 use crate::jobs::{Job, JobKind, JobResult};
-
-/// One-word outcome tag — the `semsim sweep` vocabulary.
-fn outcome_tag(outcome: RunOutcome) -> &'static str {
-    match outcome {
-        RunOutcome::Completed => "completed",
-        RunOutcome::Blockaded { .. } => "blockaded",
-        RunOutcome::WallClockExceeded { .. } => "wall-clock",
-        RunOutcome::EventCapReached { .. } => "event-cap",
-    }
-}
-
-/// Renders one computed sweep point.
-fn sweep_line(point: &SweepPoint) -> String {
-    format!(
-        "{:.6e} {:.6e} {}",
-        point.control,
-        point.current,
-        outcome_tag(point.outcome)
-    )
-}
-
-/// Renders one computed ensemble replica.
-fn replica_line(task: usize, summary: &ReplicaSummary) -> String {
-    format!(
-        "replica {task} {:.6e} {} {}",
-        summary.current,
-        summary.events,
-        outcome_tag(summary.outcome)
-    )
-}
-
-/// Renders one journaled item by kind (used by the stream endpoint's
-/// journal polling; identical to the final-report rendering, which is
-/// what makes streamed and replayed output byte-identical).
-fn line_for<T: RenderItem>(task: usize, item: &T) -> String {
-    item.render(task)
-}
-
-/// Line rendering per journal payload kind.
-trait RenderItem: JournalItem {
-    fn render(&self, task: usize) -> String;
-}
-
-impl RenderItem for SweepPoint {
-    fn render(&self, _task: usize) -> String {
-        sweep_line(self)
-    }
-}
-
-impl RenderItem for ReplicaSummary {
-    fn render(&self, task: usize) -> String {
-        replica_line(task, self)
-    }
-}
 
 /// Applies the spec's overrides to a parsed circuit file.
 fn circuit_file(spec: &JobSpec) -> Result<CircuitFile, String> {
@@ -151,8 +96,8 @@ impl std::fmt::Display for AdmissionError {
 /// `max_memory` is the admission byte budget (0 disables). For circuit
 /// sources the estimate is a pure function of the declaration counts
 /// ([`CircuitFile::resource_estimate`]) and is enforced *before*
-/// compilation, so an oversized netlist is refused without its dense
-/// matrices ever being materialised. Logic sources elaborate their
+/// compilation, so an oversized netlist is refused without its `C⁻¹`
+/// store ever being materialised. Logic sources elaborate their
 /// circuit during validation anyway, so they enforce the measured
 /// footprint of that circuit.
 ///
@@ -249,28 +194,8 @@ pub struct ExecOutput {
     pub health: HealthReport,
 }
 
-fn collect<T: RenderItem>(report: &BatchReport<T>) -> ExecOutput {
-    let mut lines = Vec::with_capacity(report.points.len());
-    for p in &report.points {
-        let line = match (&p.item, p.status) {
-            (Some(item), _) => line_for(p.task, item),
-            (None, PointStatus::Cancelled) => {
-                format!("# point {} cancelled before it ran", p.task)
-            }
-            (None, _) => {
-                let fault = p
-                    .fault
-                    .as_ref()
-                    .map_or_else(|| "unknown fault".to_string(), ToString::to_string);
-                format!(
-                    "# point {} faulted after {} attempt(s): {fault}",
-                    p.task,
-                    p.attempts.len()
-                )
-            }
-        };
-        lines.push(line);
-    }
+fn collect<T: ResultLine>(report: &BatchReport<T>) -> ExecOutput {
+    let lines = report.points.iter().map(point_line).collect();
     let tail = (report.discarded_tail_bytes > 0).then(|| {
         format!(
             "discarded {} corrupt tail byte(s) ({})",
@@ -362,12 +287,12 @@ pub fn execute(job: &Job, journal: &Path) -> Result<ExecOutput, String> {
     }
 }
 
-fn scan_lines<T: RenderItem>(bytes: &[u8]) -> Vec<(usize, String)> {
+fn scan_lines<T: JournalItem + ResultLine>(bytes: &[u8]) -> Vec<(usize, String)> {
     match scan::<T>(bytes) {
         Ok(s) => s
             .entries
             .iter()
-            .map(|e| (e.task, line_for(e.task, &e.item)))
+            .map(|e| (e.task, e.item.result_line(e.task)))
             .collect(),
         Err(_) => Vec::new(),
     }

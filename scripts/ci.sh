@@ -169,9 +169,9 @@ port=$((18100 + RANDOM % 800))
 cat > "$sdir/job.json" <<'JSON'
 {"source": "junc 1 1 4 1e-6 1e-18\njunc 2 2 4 1e-6 1e-18\ncap 3 4 3e-18\nvdc 1 0.02\nvdc 2 -0.02\nvdc 3 0.0\nsymm 1\ntemp 5\nrecord 1 2 2\njumps 2000000 1\nsweep 2 0.02 0.002\n", "seed": 77}
 JSON
-wait_phase() { # addr phase
+wait_phase() { # addr phase [job, default j1]
   for _ in $(seq 1 480); do
-    "$bin" call "$1" GET /jobs/j1 2>/dev/null | grep -q "\"phase\":\"$2\"" && return 0
+    "$bin" call "$1" GET "/jobs/${3:-j1}" 2>/dev/null | grep -q "\"phase\":\"$2\"" && return 0
     sleep 0.25
   done
   return 1
@@ -184,6 +184,20 @@ sleep 0.5
 wait_phase "127.0.0.1:$port" done \
   || { echo "FAIL: clean serve job never finished"; exit 1; }
 "$bin" call "127.0.0.1:$port" GET /jobs/j1/stream > "$sdir/clean.txt" 2>/dev/null
+# One renderer: a streamed job prints the result lines `semsim sweep`
+# prints for the same netlist, seed and event count.
+src=$(sed 's/\\/\\\\/g; s/"/\\"/g; s/$/\\n/' examples/netlists/set_sweep.cir | tr -d '\n')
+printf '{"source": "%s", "seed": 7, "events": 2000}' "$src" > "$sdir/set.json"
+"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/set.json" > /dev/null 2>&1
+wait_phase "127.0.0.1:$port" done j2 \
+  || { echo "FAIL: set_sweep serve job never finished"; exit 1; }
+"$bin" call "127.0.0.1:$port" GET /jobs/j2/stream 2>/dev/null | grep -v '^#' > "$sdir/set_stream.txt"
+{ sed 's/^jumps .*/jumps 2000 1/' examples/netlists/set_sweep.cir; echo "seed 7"; } > "$sdir/set7.cir"
+"$bin" sweep "$sdir/set7.cir" 2>/dev/null | grep -v '^#' > "$sdir/set_sweep.txt"
+[ -s "$sdir/set_sweep.txt" ] || { echo "FAIL: semsim sweep printed no result lines"; exit 1; }
+diff "$sdir/set_stream.txt" "$sdir/set_sweep.txt" \
+  || { echo "FAIL: streamed lines differ from semsim sweep"; exit 1; }
+echo "serve stream OK: $(wc -l < "$sdir/set_sweep.txt") result lines equal to semsim sweep"
 "$bin" call "127.0.0.1:$port" POST /drain > /dev/null 2>&1
 wait $spid || { echo "FAIL: drained daemon exited nonzero"; exit 1; }
 # Crash run: same job, kill -9 once >= 2 points are journaled, restart

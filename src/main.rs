@@ -70,12 +70,12 @@ use semsim::check::{
     apply_suggestions, report_to_json, validate_report, DiagCode, Diagnostics, JsonFileReport,
     Severity, Suggestion,
 };
-use semsim::core::batch::{BatchCounts, BatchOpts, PointStatus, RetryPolicy};
+use semsim::core::batch::{BatchCounts, BatchOpts, RetryPolicy};
 use semsim::core::constants::E_CHARGE;
 use semsim::core::engine::{RunLength, Simulation};
 use semsim::core::health::{RunOutcome, Supervisor};
 use semsim::core::par::{available_threads, ParOpts};
-use semsim::netlist::{lint_circuit, lint_logic, CircuitFile, RawLogicFile};
+use semsim::netlist::{lint_circuit, lint_logic, point_line, CircuitFile, RawLogicFile};
 use semsim::serve::ServeConfig;
 
 const USAGE: &str = "usage: semsim <command>
@@ -140,10 +140,11 @@ commands:
       replicas to a crash-safe journal and the bare --resume flag
       restores them instead of recomputing. Ensembles cannot be combined
       with checkpointing. --max-memory refuses the circuit before
-      compilation when its estimated footprint (dense C/C⁻¹ matrices,
-      neighborhood tables, journal buffer) exceeds the budget — accepts
-      plain bytes or 64k/16m/2g; the refusal prints the estimator's
-      component breakdown.
+      compilation when its estimated footprint (the truncated C⁻¹, its
+      factor while building, lead coupling, neighborhood tables, kernel
+      SoA, journal buffer) exceeds the budget — accepts plain bytes or
+      64k/16m/2g; the refusal prints the estimator's component
+      breakdown.
 
   sweep <netlist.cir> [--events N] [--threads N]
                       [--journal FILE] [--resume] [--max-retries N]
@@ -649,7 +650,7 @@ fn batch_opts(opts: &RunOpts, threads: usize) -> BatchOpts {
 
 /// Enforces `--max-memory` before the circuit is compiled: the
 /// estimate is a pure function of the declaration counts, so an
-/// oversized netlist is refused before its dense matrices are ever
+/// oversized netlist is refused before its `C⁻¹` store is ever
 /// materialised (see [`semsim::core::resource`]).
 fn check_memory_budget(
     file: &CircuitFile,
@@ -697,16 +698,6 @@ fn report_batch_recovery(
              ({detail}); results above are complete, but `--resume` will \
              recompute those points"
         );
-    }
-}
-
-/// One-word outcome tag for sweep data lines.
-fn outcome_tag(outcome: RunOutcome) -> &'static str {
-    match outcome {
-        RunOutcome::Completed => "completed",
-        RunOutcome::Blockaded { .. } => "blockaded",
-        RunOutcome::WallClockExceeded { .. } => "wall-clock",
-        RunOutcome::EventCapReached { .. } => "event-cap",
     }
 }
 
@@ -976,31 +967,7 @@ fn try_sweep(opts: &RunOpts) -> Result<(), String> {
     );
     println!("# control_V current_A outcome");
     for p in &report.points {
-        match &p.item {
-            Some(pt) => {
-                println!(
-                    "{:.6e} {:.6e} {}",
-                    pt.control,
-                    pt.current,
-                    outcome_tag(pt.outcome)
-                );
-            }
-            None if p.status == PointStatus::Cancelled => {
-                println!("# point {} cancelled before it ran", p.task);
-            }
-            None => {
-                let fault = p
-                    .fault
-                    .as_ref()
-                    .map(|f| f.to_string())
-                    .unwrap_or_else(|| "unknown fault".to_string());
-                println!(
-                    "# point {} faulted after {} attempt(s): {fault}",
-                    p.task,
-                    p.attempts.len()
-                );
-            }
-        }
+        println!("{}", point_line(p));
     }
     report_batch_recovery(
         &report.counts,
