@@ -6,7 +6,9 @@ use crate::{DiagCode, Diagnostic, Diagnostics, Span};
 /// Condition-number estimate above which the capacitance matrix is
 /// reported as numerically near-singular (SC003). `f64` carries ~16
 /// digits; κ₁ ≈ 1e12 leaves fewer than 4 trustworthy digits in island
-/// potentials, which is marginal for free-energy differences.
+/// potentials, which is marginal for free-energy differences. The
+/// estimate is [`semsim_linalg::SymmetricMatrix::condition_estimate`],
+/// on the `L·D·Lᵀ` factor the circuit build computes.
 pub const CONDITION_THRESHOLD: f64 = 1e12;
 
 /// Runs the electrical checks: SC001 (floating islands), SC002
@@ -14,6 +16,11 @@ pub const CONDITION_THRESHOLD: f64 = 1e12;
 /// matrix), SC005 (tunnel-unreachable islands), and — when the model
 /// carries dataflow facts — the influence-reachability diagnostics
 /// SC014–SC018 (the `reach` pass).
+///
+/// SC002 and SC003 factor the sparse [`CircuitModel::capacitance_matrix`]
+/// once, as the circuit build does: SC002 when the `L·D·Lᵀ` factor
+/// refuses a pivot (the build would fail with a floating island), SC003
+/// when Hager's estimate of `κ₁` exceeds [`CONDITION_THRESHOLD`].
 pub fn check_circuit(model: &CircuitModel) -> Diagnostics {
     let mut diags = Diagnostics::new();
 
@@ -42,30 +49,23 @@ pub fn check_circuit(model: &CircuitModel) -> Diagnostics {
             .iter()
             .max_by(|x, y| x.capacitance.total_cmp(&y.capacitance))
             .map_or(Span::NONE, |e| e.span);
-        let c = model.capacitance_matrix();
-        match c.lu() {
+        match model.capacitance_matrix().condition_estimate() {
             Err(_) => diags.push(Diagnostic::new(
                 DiagCode::SingularCapacitanceMatrix,
                 "island capacitance matrix is numerically singular; \
                  the capacitance ratios exceed what f64 can resolve",
                 dominant,
             )),
-            Ok(lu) => {
-                let cond = lu
-                    .inverse_norm_one_estimate()
-                    .map_or(f64::INFINITY, |inv| (c.norm_one() * inv).max(1.0));
-                if cond > CONDITION_THRESHOLD {
-                    diags.push(Diagnostic::new(
-                        DiagCode::IllConditionedCMatrix,
-                        format!(
-                            "island capacitance matrix is ill-conditioned \
-                             (κ₁ ≈ {cond:.2e} > {CONDITION_THRESHOLD:.0e}); \
-                             island potentials may lose most significant digits"
-                        ),
-                        dominant,
-                    ));
-                }
-            }
+            Ok(cond) if cond > CONDITION_THRESHOLD => diags.push(Diagnostic::new(
+                DiagCode::IllConditionedCMatrix,
+                format!(
+                    "island capacitance matrix is ill-conditioned \
+                     (κ₁ ≈ {cond:.2e} > {CONDITION_THRESHOLD:.0e}); \
+                     island potentials may lose most significant digits"
+                ),
+                dominant,
+            )),
+            Ok(_) => {}
         }
     }
 

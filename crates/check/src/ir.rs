@@ -9,6 +9,8 @@
 //! everything the influence-reachability analysis (`reach`) needs to
 //! decide what the simulation will actually compute.
 
+use semsim_linalg::SymmetricMatrix;
+
 use crate::Span;
 
 /// A node handle in a [`CircuitModel`].
@@ -381,32 +383,35 @@ impl CircuitModel {
             .collect()
     }
 
-    /// Assembles the island-block capacitance matrix (diagonal = total
-    /// attached capacitance, off-diagonal = −C between island pairs).
-    pub(crate) fn capacitance_matrix(&self) -> semsim_linalg::Matrix {
-        let islands: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].kind == NodeKind::Island)
-            .collect();
-        let pos: std::collections::HashMap<usize, usize> =
-            islands.iter().enumerate().map(|(k, &i)| (i, k)).collect();
-        let mut c = semsim_linalg::Matrix::zeros(islands.len(), islands.len());
+    /// The island capacitance matrix `C`, assembled as the circuit build
+    /// assembles it: islands in model order, and each edge in order adds
+    /// its capacitance to its island ends' diagonal and `−C` between two
+    /// distinct islands. A netlist's model lists junctions before
+    /// capacitors, as the build does, so both factor the same bits.
+    pub fn capacitance_matrix(&self) -> SymmetricMatrix {
+        let mut position = vec![None; self.nodes.len()];
+        let mut islands = 0;
+        for (p, info) in position.iter_mut().zip(&self.nodes) {
+            if info.kind == NodeKind::Island {
+                *p = Some(islands);
+                islands += 1;
+            }
+        }
+        let island = |node: ModelNode| (!node.is_ground()).then(|| position[node.0]).flatten();
+        let mut diagonal = vec![0.0; islands];
+        let mut coupling = Vec::new();
         for e in &self.edges {
-            let pa = (!e.a.is_ground()).then(|| pos.get(&e.a.0)).flatten();
-            let pb = (!e.b.is_ground()).then(|| pos.get(&e.b.0)).flatten();
-            if let Some(&ka) = pa {
-                c.add_to(ka, ka, e.capacitance);
+            let (ka, kb) = (island(e.a), island(e.b));
+            for k in [ka, kb].into_iter().flatten() {
+                diagonal[k] += e.capacitance;
             }
-            if let Some(&kb) = pb {
-                c.add_to(kb, kb, e.capacitance);
-            }
-            if let (Some(&ka), Some(&kb)) = (pa, pb) {
+            if let (Some(ka), Some(kb)) = (ka, kb) {
                 if ka != kb {
-                    c.add_to(ka, kb, -e.capacitance);
-                    c.add_to(kb, ka, -e.capacitance);
+                    coupling.push((ka, kb, -e.capacitance));
                 }
             }
         }
-        c
+        SymmetricMatrix::from_entries(diagonal, &coupling)
     }
 }
 

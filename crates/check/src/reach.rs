@@ -109,24 +109,25 @@ fn influence_set(model: &CircuitModel, seeds: HashSet<usize>) -> Influence {
 
 /// Largest single-island charging energy E_C = e²/(2·CΣ) in joules,
 /// taken over every island (the smallest total capacitance dominates).
-/// `None` when the model has no islands.
+/// `None` when the model has no islands. One pass over the edges sums
+/// each island's `CΣ` in edge order; an edge with both ends on one
+/// island counts once.
 fn max_charging_energy(model: &CircuitModel) -> Option<f64> {
-    let mut min_csigma: Option<f64> = None;
-    for (i, info) in model.nodes.iter().enumerate() {
-        if info.kind != NodeKind::Island {
-            continue;
-        }
-        let csigma: f64 = model
-            .edges
-            .iter()
-            .filter(|e| e.a == ModelNode(i) || e.b == ModelNode(i))
-            .map(|e| e.capacitance)
-            .sum();
-        if csigma > 0.0 {
-            min_csigma = Some(min_csigma.map_or(csigma, |m: f64| m.min(csigma)));
+    let mut csigma = vec![0.0; model.nodes.len()];
+    for e in &model.edges {
+        let ends = [Some(e.a), (e.b != e.a).then_some(e.b)];
+        for node in ends.into_iter().flatten().filter(|n| !n.is_ground()) {
+            csigma[node.0] += e.capacitance;
         }
     }
-    min_csigma.map(|c| E_CHARGE * E_CHARGE / (2.0 * c))
+    model
+        .nodes
+        .iter()
+        .zip(csigma)
+        .filter(|&(info, c)| info.kind == NodeKind::Island && c > 0.0)
+        .map(|(_, c)| c)
+        .reduce(f64::min)
+        .map(|c| E_CHARGE * E_CHARGE / (2.0 * c))
 }
 
 fn delete_line_fix(message: &str, span: Span) -> Option<Suggestion> {

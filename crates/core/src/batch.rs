@@ -408,17 +408,10 @@ fn attempt_config(config: &SimConfig, spec: &AttemptSpec) -> SimConfig {
     let mut cfg = config.clone().with_seed(spec.seed);
     if spec.fallback {
         cfg.solver = SolverSpec::NonAdaptive;
-    } else if spec.theta_scale != 1.0 {
-        if let SolverSpec::Adaptive {
-            threshold,
-            refresh_interval,
-        } = cfg.solver
-        {
-            cfg.solver = SolverSpec::Adaptive {
-                threshold: threshold * spec.theta_scale,
-                refresh_interval,
-            };
-        }
+    } else if let SolverSpec::Adaptive { threshold, .. }
+    | SolverSpec::AdaptiveDense { threshold, .. } = &mut cfg.solver
+    {
+        *threshold *= spec.theta_scale;
     }
     cfg
 }
@@ -1437,43 +1430,49 @@ mod tests {
 
     #[test]
     fn attempt_config_applies_the_ladder() {
-        let adaptive = SimConfig::new(1.0).with_solver(SolverSpec::Adaptive {
-            threshold: 0.2,
-            refresh_interval: 100,
-        });
-        let tightened = attempt_config(
-            &adaptive,
-            &AttemptSpec {
-                task: 1,
-                attempt: 2,
-                seed: 42,
-                action: RecoveryAction::ReseedTightened,
-                theta_scale: 0.5,
-                fallback: false,
-            },
-        );
-        assert_eq!(tightened.seed, 42);
-        assert_eq!(
-            tightened.solver,
-            SolverSpec::Adaptive {
-                threshold: 0.1,
-                refresh_interval: 100
-            }
-        );
-        let fell_back = attempt_config(
-            &adaptive,
-            &AttemptSpec {
-                task: 1,
-                attempt: 3,
-                seed: 7,
-                action: RecoveryAction::SolverFallback,
-                theta_scale: 0.5,
-                fallback: true,
-            },
-        );
-        assert_eq!(fell_back.solver, SolverSpec::NonAdaptive);
-        // Attempt 1 only swaps the seed in.
-        let initial = attempt_config(&adaptive, &initial_spec(0, 4));
-        assert_eq!(initial.solver, adaptive.solver);
+        // The optimized solver and its dense oracle take the same ladder.
+        let solvers = |threshold| {
+            [
+                SolverSpec::Adaptive {
+                    threshold,
+                    refresh_interval: 100,
+                },
+                SolverSpec::AdaptiveDense {
+                    threshold,
+                    refresh_interval: 100,
+                },
+            ]
+        };
+        for (solver, want) in solvers(0.2).into_iter().zip(solvers(0.1)) {
+            let config = SimConfig::new(1.0).with_solver(solver);
+            let tightened = attempt_config(
+                &config,
+                &AttemptSpec {
+                    task: 1,
+                    attempt: 2,
+                    seed: 42,
+                    action: RecoveryAction::ReseedTightened,
+                    theta_scale: 0.5,
+                    fallback: false,
+                },
+            );
+            assert_eq!(tightened.seed, 42);
+            assert_eq!(tightened.solver, want);
+            let fell_back = attempt_config(
+                &config,
+                &AttemptSpec {
+                    task: 1,
+                    attempt: 3,
+                    seed: 7,
+                    action: RecoveryAction::SolverFallback,
+                    theta_scale: 0.5,
+                    fallback: true,
+                },
+            );
+            assert_eq!(fell_back.solver, SolverSpec::NonAdaptive);
+            // Attempt 1 only swaps the seed in.
+            let initial = attempt_config(&config, &initial_spec(0, 4));
+            assert_eq!(initial.solver, solver);
+        }
     }
 }

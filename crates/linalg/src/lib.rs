@@ -8,9 +8,11 @@
 //! ([`LdlFactor`]), which keeps a few entries of `L` per row. The inverse
 //! is solved from that factor column by column and truncated where an
 //! entry is below a relative cutoff ([`LdlFactor::truncated_inverse`]),
-//! into one [`SparseColumns`] store; no `n × n` block is formed. Dense
-//! [`Matrix`] and [`LuDecomposition`] serve the small dense systems: the
-//! static checker's condition estimate and the SPICE baseline.
+//! into one [`SparseColumns`] store; no `n × n` block is formed. The
+//! static checker's singularity and condition checks run on the same
+//! factor ([`SymmetricMatrix::condition_estimate`]). Dense [`Matrix`]
+//! and [`LuDecomposition`] serve the nonsymmetric dense systems: the
+//! SPICE baseline's nodal Jacobian and the master equation.
 //!
 //! # Example
 //!

@@ -3,9 +3,10 @@ use crate::{LinalgError, Matrix, PIVOT_EPS};
 /// LU decomposition with partial pivoting (`P·A = L·U`).
 ///
 /// The decomposition is computed once and can then solve any number of
-/// right-hand sides. The static checker's condition estimate and the
-/// SPICE baseline's nodal solve use it; the circuit build factors its
-/// capacitance matrix sparse ([`crate::LdlFactor`]).
+/// right-hand sides. It serves the nonsymmetric dense systems: the
+/// SPICE baseline's nodal Jacobian and the master equation. The
+/// capacitance matrix is symmetric and factored sparse
+/// ([`crate::LdlFactor`]).
 ///
 /// # Example
 ///
@@ -27,8 +28,6 @@ pub struct LuDecomposition {
     lu: Matrix,
     /// Row permutation applied to the input.
     perm: Vec<usize>,
-    /// Sign of the permutation, used by [`LuDecomposition::determinant`].
-    perm_sign: f64,
 }
 
 impl LuDecomposition {
@@ -47,7 +46,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Find the largest pivot in column k at or below the diagonal.
@@ -70,7 +68,6 @@ impl LuDecomposition {
                     lu.set(pivot_row, c, tmp);
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let inv_pivot = 1.0 / lu.get(k, k);
             for r in (k + 1)..n {
@@ -84,11 +81,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Dimension of the factorized matrix.
@@ -129,102 +122,6 @@ impl LuDecomposition {
             x[i] = (x[i] - dot) / self.lu.get(i, i);
         }
         Ok(x)
-    }
-
-    /// Solves `Aᵀ·x = b` using the stored factors.
-    ///
-    /// With `P·A = L·U` we have `Aᵀ = Uᵀ·Lᵀ·P`, so the transposed system
-    /// is a forward substitution with `Uᵀ`, a backward substitution with
-    /// `Lᵀ` (unit diagonal), and an inverse permutation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        // Forward substitution with Uᵀ (lower triangular, general diagonal).
-        let mut w = b.to_vec();
-        for i in 0..n {
-            let dot: f64 = w[..i]
-                .iter()
-                .enumerate()
-                .map(|(k, &wk)| self.lu.get(k, i) * wk)
-                .sum();
-            w[i] = (w[i] - dot) / self.lu.get(i, i);
-        }
-        // Backward substitution with Lᵀ (upper triangular, unit diagonal).
-        for i in (0..n).rev() {
-            let dot: f64 = w[i + 1..]
-                .iter()
-                .enumerate()
-                .map(|(k, &wk)| self.lu.get(i + 1 + k, i) * wk)
-                .sum();
-            w[i] -= dot;
-        }
-        // Undo the row permutation: x = Pᵀ·w.
-        let mut x = vec![0.0; n];
-        for (i, &p) in self.perm.iter().enumerate() {
-            x[p] = w[i];
-        }
-        Ok(x)
-    }
-
-    /// Hager's estimate of `‖A⁻¹‖₁` from the stored factors: a gradient
-    /// ascent on `‖A⁻¹x‖₁` over the 1-norm unit ball, needing only a few
-    /// solves instead of the full inverse. The result is a lower bound on
-    /// the true norm and is usually within a small factor of it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the triangular solves; cannot fail for a
-    /// successfully constructed decomposition.
-    pub fn inverse_norm_one_estimate(&self) -> Result<f64, LinalgError> {
-        let n = self.dim();
-        if n == 0 {
-            return Ok(0.0);
-        }
-        let mut x = vec![1.0 / n as f64; n];
-        let mut est = 0.0f64;
-        // Hager converges in 2–3 steps in practice; 5 bounds the cost.
-        for _ in 0..5 {
-            let y = self.solve(&x)?;
-            let ynorm: f64 = y.iter().map(|v| v.abs()).sum();
-            est = est.max(ynorm);
-            let xi: Vec<f64> = y
-                .iter()
-                .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
-                .collect();
-            let z = self.solve_transpose(&xi)?;
-            let (mut j_best, mut z_best) = (0, 0.0f64);
-            for (j, &zj) in z.iter().enumerate() {
-                if zj.abs() > z_best {
-                    z_best = zj.abs();
-                    j_best = j;
-                }
-            }
-            let zx: f64 = z.iter().zip(&x).map(|(a, b)| a * b).sum();
-            if z_best <= zx {
-                break;
-            }
-            x = vec![0.0; n];
-            x[j_best] = 1.0;
-        }
-        Ok(est)
-    }
-
-    /// Determinant of the factorized matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.dim() {
-            det *= self.lu.get(i, i);
-        }
-        det
     }
 }
 
@@ -301,47 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn determinant_with_permutation() {
-        let a = Matrix::from_rows(&[&[0.0, 2.0], &[3.0, 0.0]]).unwrap();
-        assert_close(a.lu().unwrap().determinant(), -6.0, 1e-12);
-    }
-
-    #[test]
-    fn determinant_identity() {
-        assert_close(Matrix::identity(5).lu().unwrap().determinant(), 1.0, 1e-12);
-    }
-
-    #[test]
     fn solve_rejects_bad_rhs_length() {
         let lu = Matrix::identity(3).lu().unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn solve_transpose_matches_explicit_transpose() {
-        let a =
-            Matrix::from_rows(&[&[0.0, 2.0, -1.0], &[3.0, 0.5, 0.0], &[-1.0, 1.0, 4.0]]).unwrap();
-        let b = [1.0, -2.0, 3.0];
-        let x1 = a.lu().unwrap().solve_transpose(&b).unwrap();
-        let x2 = a.transposed().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert_close(*u, *v, 1e-12);
-        }
-    }
-
-    #[test]
-    fn condition_estimate_identity_is_one() {
-        let est = Matrix::identity(4).condition_estimate().unwrap();
-        assert_close(est, 1.0, 1e-12);
-    }
-
-    #[test]
-    fn condition_estimate_grows_with_ill_conditioning() {
-        // diag(1, 1e-8): κ₁ = 1e8 exactly.
-        let mut m = Matrix::identity(2);
-        m.set(1, 1, 1e-8);
-        let est = m.condition_estimate().unwrap();
-        assert_close(est, 1e8, 1.0);
     }
 
     #[test]

@@ -3,9 +3,9 @@ use crate::{LinalgError, LuDecomposition};
 /// A dense, row-major matrix of `f64`.
 ///
 /// It holds the island–lead coupling block and the lead responses, and
-/// backs the static checker's and the SPICE baseline's dense solves. It
-/// intentionally supports only the operations the simulator needs; it
-/// is not a general-purpose BLAS.
+/// backs the nonsymmetric dense solves: the SPICE baseline's nodal
+/// Jacobian and the master equation. It intentionally supports only the
+/// operations the simulator needs; it is not a general-purpose BLAS.
 ///
 /// # Example
 ///
@@ -192,17 +192,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Transposed copy of the matrix.
-    pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Returns `true` if the matrix equals its transpose to tolerance `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -216,37 +205,6 @@ impl Matrix {
             }
         }
         true
-    }
-
-    /// Column-sum norm `‖A‖₁ = maxⱼ Σᵢ |aᵢⱼ|`.
-    pub fn norm_one(&self) -> f64 {
-        let mut best = 0.0f64;
-        for c in 0..self.cols {
-            let mut sum = 0.0;
-            for r in 0..self.rows {
-                sum += self.get(r, c).abs();
-            }
-            best = best.max(sum);
-        }
-        best
-    }
-
-    /// Estimates the 1-norm condition number `κ₁(A) = ‖A‖₁·‖A⁻¹‖₁` with
-    /// Hager's algorithm: one LU factorization plus a handful of solves,
-    /// instead of the full `O(n³)` inverse. The returned value is a lower
-    /// bound on the true `κ₁` (clamped below at 1), typically within a
-    /// small factor of it; the static checker uses it to flag
-    /// near-singular capacitance matrices (diagnostic SC003).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input and
-    /// [`LinalgError::Singular`] for exactly singular matrices (which the
-    /// caller should report as SC002 rather than SC003).
-    pub fn condition_estimate(&self) -> Result<f64, LinalgError> {
-        let lu = self.lu()?;
-        let inv_norm = lu.inverse_norm_one_estimate()?;
-        Ok((self.norm_one() * inv_norm).max(1.0))
     }
 
     /// LU-decomposes the matrix with partial pivoting.
@@ -332,12 +290,6 @@ mod tests {
             let p = Matrix::zeros(rows, inner).mul(&Matrix::zeros(inner, cols));
             assert_eq!(p.unwrap(), Matrix::zeros(rows, cols));
         }
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transposed().transposed(), a);
     }
 
     #[test]

@@ -235,6 +235,56 @@ impl SymmetricMatrix {
     pub fn ldl(&self) -> Result<LdlFactor, LinalgError> {
         LdlFactor::new(self)
     }
+
+    /// Estimates the 1-norm condition number `κ₁(A) = ‖A‖₁·‖A⁻¹‖₁`
+    /// with Hager's algorithm: the factor of [`SymmetricMatrix::ldl`]
+    /// plus a handful of solves, a gradient ascent on `‖A⁻¹x‖₁` over the
+    /// 1-norm unit ball. `A` is symmetric, so the transposed solve the
+    /// ascent needs is the same solve. The result is a lower bound on
+    /// the true `κ₁` (clamped below at 1), typically within a small
+    /// factor of it; the static checker uses it to flag near-singular
+    /// capacitance matrices (diagnostic SC003).
+    ///
+    /// # Errors
+    ///
+    /// As [`LdlFactor::new`]: [`LinalgError::Singular`] for a matrix the
+    /// factor refuses, which the caller reports as SC002 rather than
+    /// SC003.
+    pub fn condition_estimate(&self) -> Result<f64, LinalgError> {
+        let factor = self.ldl()?;
+        let n = self.dim();
+        let mut x = vec![1.0 / n as f64; n];
+        let mut inverse_norm = 0.0f64;
+        // Hager converges in 2–3 steps in practice; 5 bounds the cost.
+        for _ in 0..5 {
+            let y = factor.solve(&x)?;
+            inverse_norm = inverse_norm.max(y.iter().map(|v| v.abs()).sum());
+            let signs: Vec<f64> = y
+                .iter()
+                .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
+                .collect();
+            let z = factor.solve(&signs)?;
+            let (mut j_best, mut z_best) = (0, 0.0f64);
+            for (j, &zj) in z.iter().enumerate() {
+                if zj.abs() > z_best {
+                    (j_best, z_best) = (j, zj.abs());
+                }
+            }
+            let zx: f64 = z.iter().zip(&x).map(|(a, b)| a * b).sum();
+            if z_best <= zx {
+                break;
+            }
+            x = vec![0.0; n];
+            x[j_best] = 1.0;
+        }
+        let norm = (0..n)
+            .map(|c| {
+                let column = self.off_diagonal(c).values.iter();
+                self.diagonal[c].abs() + column.map(|v| v.abs()).sum::<f64>()
+            })
+            .fold(0.0f64, f64::max);
+        Ok((norm * inverse_norm).max(1.0))
+    }
 }
 
 /// `P·A·Pᵀ = L·D·Lᵀ` of a symmetric matrix `A`, with `P` the greedy
@@ -602,6 +652,23 @@ mod tests {
         assert_eq!(a.ldl().unwrap_err(), LinalgError::Singular { pivot: 1 });
         let a = SymmetricMatrix::from_entries(vec![1.0, 1.0], &[(0, 1, -2.0)]);
         assert!(matches!(a.ldl(), Err(LinalgError::Singular { .. })));
+    }
+
+    #[test]
+    fn condition_estimate_identity_is_one() {
+        let est = SymmetricMatrix::from_entries(vec![1.0; 4], &[])
+            .condition_estimate()
+            .unwrap();
+        assert!((est - 1.0).abs() <= 1e-12, "{est}");
+    }
+
+    #[test]
+    fn condition_estimate_grows_with_ill_conditioning() {
+        // diag(1, 1e-8): κ₁ = 1e8 exactly.
+        let est = SymmetricMatrix::from_entries(vec![1.0, 1e-8], &[])
+            .condition_estimate()
+            .unwrap();
+        assert!((est - 1e8).abs() <= 1.0, "{est}");
     }
 
     #[test]

@@ -1138,6 +1138,35 @@ sweep 1 0.005 0.001
     }
 
     #[test]
+    fn linter_and_build_assemble_the_same_capacitance_matrix() {
+        // SC002/SC003 factor the linter's `C`; they speak for the build
+        // only if it is the very matrix the build factors.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut compared = 0;
+        for dir in ["tests/fixtures/lint", "examples/netlists"] {
+            for entry in std::fs::read_dir(format!("{root}/{dir}")).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_none_or(|e| e != "cir") {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).unwrap();
+                let file = CircuitFile::parse(&text).unwrap();
+                let Ok(compiled) = file.compile() else {
+                    continue;
+                };
+                assert_eq!(
+                    circuit_model(&file).capacitance_matrix(),
+                    compiled.circuit.capacitance_matrix(),
+                    "{}",
+                    path.display()
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared >= 15, "only {compared} netlists compiled");
+    }
+
+    #[test]
     fn dead_logic_input_is_sc014() {
         let raw = RawLogicFile::parse("input a b\noutput y\ninv y a\n").unwrap();
         let diags = lint_logic(&raw);

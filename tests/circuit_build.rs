@@ -35,7 +35,7 @@ fn small_benchmarks() -> impl Iterator<Item = (Benchmark, Circuit)> {
 /// The dense inverse of `C`, column by column from its LU factor.
 fn dense_inverse(circuit: &Circuit) -> Matrix {
     let n = circuit.num_islands();
-    let lu = circuit.capacitance_matrix().lu().unwrap();
+    let lu = circuit.capacitance_matrix().to_dense().lu().unwrap();
     let mut inverse = Matrix::zeros(n, n);
     let mut e = vec![0.0; n];
     for c in 0..n {

@@ -1,12 +1,14 @@
 //! Property-style tests of the core invariants, spanning crates.
 //! Plain seeded loops over randomly generated inputs.
 
+use semsim::check::DiagCode;
 use semsim::core::circuit::{Circuit, CircuitBuilder, NodeId};
 use semsim::core::constants::K_B;
 use semsim::core::energy::{delta_w, total_free_energy, CircuitState};
 use semsim::core::fenwick::FenwickTree;
 use semsim::core::rates::orthodox_rate;
 use semsim::core::rng::Rng;
+use semsim::core::CoreError;
 use semsim::linalg::Matrix;
 use semsim::quad::{occupancy_factor, LookupTable};
 
@@ -48,7 +50,7 @@ fn capacitance_inverse_is_consistent() {
     let mut rng = Rng::seed_from_u64(100);
     for case in 0..CASES {
         let (circuit, _nodes) = arb_circuit(&mut rng);
-        let c = circuit.capacitance_matrix();
+        let c = circuit.capacitance_matrix().to_dense();
         let n = c.rows();
         for r in 0..n {
             for col in 0..n {
@@ -271,12 +273,18 @@ fn circuit_file_roundtrip() {
 
 /// Satellite property: any random circuit that passes the static checks
 /// must have a non-singular capacitance matrix (the SC002 guarantee).
+/// Conversely, without SC001 the linter reports SC002 exactly when the
+/// build refuses the circuit as floating: both factor the same `C`.
 #[test]
 fn check_passing_circuits_have_invertible_cmatrix() {
     let mut rng = Rng::seed_from_u64(110);
-    let mut passed = 0usize;
-    for _case in 0..CASES {
+    let (mut passed, mut singular) = (0usize, 0usize);
+    for case in 0..CASES {
         let n = rng.gen_range(1..6);
+        // One case in four anchors the chain to its lead through a
+        // subnormal capacitance and couples its islands through 1 F, as
+        // the SC002 fixture does, so `C` is singular in f64.
+        let extreme = rng.gen_bool(0.25);
         // Random circuit that may or may not be well-formed: each island
         // connects to the previous node with probability 3/4, otherwise
         // it is left capacitively floating (a deliberate defect).
@@ -285,31 +293,39 @@ fn check_passing_circuits_have_invertible_cmatrix() {
         let lead = b.add_lead(1e-3);
         let m_lead = model.add_lead();
         let mut prev = (lead, m_lead);
-        let mut islands = Vec::new();
-        let mut connected = vec![false; n];
-        for (i, conn) in connected.iter_mut().enumerate() {
+        for i in 0..n {
             let isl = b.add_island_with_charge(0.0);
             let m_isl = model.add_island();
             if rng.gen_bool(0.75) || i == 0 {
-                let c = uniform(&mut rng, 0.5, 3.0) * 1e-18;
+                let c = match (extreme, i) {
+                    (false, _) => uniform(&mut rng, 0.5, 3.0) * 1e-18,
+                    (true, 0) => 1e-320,
+                    (true, _) => 1.0,
+                };
                 b.add_junction(prev.0, isl, 1e6, c).unwrap();
                 model.add_junction(prev.1, m_isl, 1e6, c);
-                *conn = true;
             }
-            islands.push((isl, m_isl));
             prev = (isl, m_isl);
         }
         let diags = semsim::check::check_circuit(&model);
+        let reports = |code| diags.iter().any(|d| d.code == code);
         let built = b.build();
+        if !reports(DiagCode::FloatingIsland) {
+            let refused = matches!(built, Err(CoreError::FloatingIsland(_)));
+            assert_eq!(
+                reports(DiagCode::SingularCapacitanceMatrix),
+                refused,
+                "case {case}: SC002 and the build disagree"
+            );
+            singular += usize::from(refused);
+        }
         if diags.has_errors() {
             // Static analysis predicted failure. The builder only agrees
             // when a pivot cancels to exactly zero; rounding can sneak a
-            // singular island *cluster* past the LU — which is precisely
-            // the gap SC001 closes. Either way the matrix is unusable.
-            if diags
-                .iter()
-                .any(|d| d.code == semsim::check::DiagCode::FloatingIsland)
-            {
+            // singular island *cluster* past the factor — which is
+            // precisely the gap SC001 closes. Either way the matrix is
+            // unusable.
+            if reports(DiagCode::FloatingIsland) {
                 if let Ok(circuit) = built {
                     let cond = circuit
                         .capacitance_matrix()
@@ -324,7 +340,7 @@ fn check_passing_circuits_have_invertible_cmatrix() {
         } else {
             let circuit = built.expect("check-passing circuit failed to build");
             // Invertibility: C · C⁻¹ = I to tight tolerance.
-            let c = circuit.capacitance_matrix();
+            let c = circuit.capacitance_matrix().to_dense();
             for r in 0..c.rows() {
                 let diagonal: f64 = circuit
                     .cinv_column(r)
@@ -337,4 +353,5 @@ fn check_passing_circuits_have_invertible_cmatrix() {
         }
     }
     assert!(passed > 0, "no generated circuit ever passed the checks");
+    assert!(singular > 0, "no generated circuit reached SC002");
 }
