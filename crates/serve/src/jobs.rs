@@ -11,7 +11,9 @@
 //!   append completed points to.
 //! - `jN.done` — the terminal result (phase, counts, rendered result
 //!   lines) as JSON. Written once, last; its existence is the commit
-//!   point of the job.
+//!   point of the job. The terminal phase is published in memory only
+//!   after this write, so a client that has seen it finds the file on
+//!   disk and a complete job already in the result cache.
 //!
 //! Restart recovery walks the directory: finished jobs reload into the
 //! store (and the result cache), unfinished ones re-enqueue with
@@ -21,8 +23,8 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use semsim_check::{json_escape, parse_json, Json};
 use semsim_core::batch::{BatchCounts, CancelToken};
@@ -231,10 +233,19 @@ pub struct Job {
     /// Wall-clock deadline, set when the job starts running.
     pub deadline: Mutex<Option<Instant>>,
     state: Mutex<JobState>,
+    /// Notified when the terminal state is published.
+    terminal: Condvar,
 }
 
 impl Job {
-    fn new(id: u64, spec: JobSpec, kind: JobKind, tasks: usize, phase: JobPhase) -> Self {
+    fn new(
+        id: u64,
+        spec: JobSpec,
+        kind: JobKind,
+        tasks: usize,
+        phase: JobPhase,
+        result: Option<JobResult>,
+    ) -> Self {
         Job {
             id,
             tenant: spec.tenant.clone(),
@@ -244,10 +255,8 @@ impl Job {
             cancel: CancelToken::new(),
             timed_out: AtomicBool::new(false),
             deadline: Mutex::new(None),
-            state: Mutex::new(JobState {
-                phase,
-                result: None,
-            }),
+            state: Mutex::new(JobState { phase, result }),
+            terminal: Condvar::new(),
         }
     }
 
@@ -267,11 +276,14 @@ impl Job {
         *self.deadline.lock().unwrap_or_else(PoisonError::into_inner) = Some(deadline);
     }
 
-    /// Records the terminal state.
-    pub fn finish(&self, phase: JobPhase, result: JobResult) {
-        let mut state = self.lock();
-        state.phase = phase;
-        state.result = Some(result);
+    /// Waits until the job's terminal state is published or `timeout`
+    /// passes; `true` when the job is terminal.
+    pub fn wait_terminal(&self, timeout: Duration) -> bool {
+        let (state, _) = self
+            .terminal
+            .wait_timeout_while(self.lock(), timeout, |state| !state.phase.is_terminal())
+            .unwrap_or_else(PoisonError::into_inner);
+        state.phase.is_terminal()
     }
 
     /// Clones the terminal result, when the job has one.
@@ -284,15 +296,15 @@ impl Job {
     #[must_use]
     pub fn render_done(&self) -> String {
         let state = self.lock();
-        let fields = state
-            .result
-            .as_ref()
-            .map(JobResult::render_fields)
-            .unwrap_or_default();
+        self.render(state.phase, state.result.as_ref())
+    }
+
+    fn render(&self, phase: JobPhase, result: Option<&JobResult>) -> String {
+        let fields = result.map(JobResult::render_fields).unwrap_or_default();
         format!(
             "{{\"id\":\"j{}\",\"phase\":\"{}\",\"tenant\":\"{}\",\"tasks\":{},{fields}}}\n",
             self.id,
-            state.phase.word(),
+            phase.word(),
             json_escape(&self.tenant),
             self.tasks,
         )
@@ -447,15 +459,14 @@ impl JobStore {
                     notes.push(format!("job j{id}: corrupt result file; skipped"));
                     continue;
                 };
-                let job = Arc::new(Job::new(id, spec, kind, tasks, phase));
-                job.finish(phase, result.clone());
                 if phase == JobPhase::Done && result.counts.faulted == 0 {
                     store.remember(key, id);
                 }
-                store.insert(job);
+                let job = Job::new(id, spec, kind, tasks, phase, Some(result));
+                store.insert(Arc::new(job));
             } else {
                 let note = crate::runner::journal_note(&store.journal_path(id), kind, tasks);
-                let job = Arc::new(Job::new(id, spec, kind, tasks, JobPhase::Queued));
+                let job = Arc::new(Job::new(id, spec, kind, tasks, JobPhase::Queued, None));
                 store.insert(Arc::clone(&job));
                 pending.push(RecoveredJob {
                     job,
@@ -490,7 +501,7 @@ impl JobStore {
     ) -> std::io::Result<Arc<Job>> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         std::fs::write(self.job_path(id), raw_body)?;
-        let job = Arc::new(Job::new(id, spec, kind, tasks, JobPhase::Queued));
+        let job = Arc::new(Job::new(id, spec, kind, tasks, JobPhase::Queued, None));
         self.insert(Arc::clone(&job));
         Ok(job)
     }
@@ -516,7 +527,7 @@ impl JobStore {
             .cloned()
     }
 
-    /// Snapshot of every job (for the watchdog and health endpoint).
+    /// Snapshot of every job (for the health endpoint).
     #[must_use]
     pub fn all(&self) -> Vec<Arc<Job>> {
         self.jobs
@@ -545,16 +556,25 @@ impl JobStore {
             .insert(key, id);
     }
 
-    /// Persists a job's terminal state: updates the in-memory record,
-    /// writes the `.done` commit file, and (for complete `Done` jobs)
-    /// registers the cache key.
+    /// Commits a job's terminal state, then publishes it: writes the
+    /// `.done` file; sets the phase and result and (for complete `Done`
+    /// jobs) registers the cache key, all under the job's state lock;
+    /// then wakes every [`Job::wait_terminal`]. A client that sees the
+    /// terminal phase finds the file on disk and a complete job in the
+    /// cache, and a cache hit never renders a job that is not yet
+    /// terminal. Lock order: a job's state, then the cache.
     pub fn finish(&self, job: &Job, phase: JobPhase, result: JobResult) {
         let complete = phase == JobPhase::Done && result.counts.faulted == 0;
-        job.finish(phase, result);
-        let body = job.render_done();
-        if std::fs::write(self.done_path(job.id), body).is_ok() && complete {
+        let committed =
+            std::fs::write(self.done_path(job.id), job.render(phase, Some(&result))).is_ok();
+        let mut state = job.lock();
+        state.phase = phase;
+        state.result = Some(result);
+        if committed && complete {
             self.remember(cache_key(&job.spec), job.id);
         }
+        drop(state);
+        job.terminal.notify_all();
     }
 
     /// `jN.job` — the persisted request body.
@@ -627,6 +647,66 @@ mod tests {
         let (phase, parsed) = parse_done(&body).unwrap();
         assert_eq!(phase, JobPhase::Done);
         assert_eq!(parsed, result);
+    }
+
+    fn job(phase: JobPhase) -> Job {
+        let result = phase.is_terminal().then(JobResult::default);
+        Job::new(
+            1,
+            spec(r#"{"source": "junc 1 1 2 1e-6 1e-18"}"#),
+            JobKind::Sweep,
+            1,
+            phase,
+            result,
+        )
+    }
+
+    #[test]
+    fn wait_terminal_returns_at_once_for_a_terminal_job() {
+        let t0 = Instant::now();
+        assert!(job(JobPhase::Done).wait_terminal(Duration::from_secs(30)));
+        assert!(t0.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn wait_terminal_times_out_on_a_running_job() {
+        let t0 = Instant::now();
+        assert!(!job(JobPhase::Running).wait_terminal(Duration::from_millis(30)));
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+    }
+
+    /// A waiter wakes on `finish`, long before its timeout, and by then
+    /// the job is committed: its `.done` file is on disk and its cache
+    /// key answers.
+    #[test]
+    fn finish_commits_then_wakes_a_waiter() {
+        let dir = std::env::temp_dir().join(format!("semsim_jobs_commit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _, _) = JobStore::open(&dir).unwrap();
+        let body = r#"{"source": "junc 1 1 2 1e-6 1e-18", "seed": 3}"#;
+        let job = store.create(body, spec(body), JobKind::Sweep, 1).unwrap();
+        job.start(Instant::now() + Duration::from_secs(60));
+        let key = cache_key(&job.spec);
+        let (woke, waited, committed, cached) = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let t0 = Instant::now();
+                let woke = job.wait_terminal(Duration::from_secs(30));
+                (
+                    woke,
+                    t0.elapsed(),
+                    store.done_path(job.id).exists(),
+                    store.cached(key),
+                )
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            store.finish(&job, JobPhase::Done, JobResult::default());
+            waiter.join().unwrap()
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(woke, "the waiter must see the terminal phase");
+        assert!(waited < Duration::from_secs(10), "waited {waited:?}");
+        assert!(committed, "jN.done must be on disk when the waiter wakes");
+        assert_eq!(cached, Some(job.id));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,18 +85,14 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Takes the next job in round-robin tenant order, waiting up to
-    /// `timeout` for one to appear. `None` on timeout — callers use the
-    /// beat to check the drain flag.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<u64> {
-        let mut inner = self.lock();
-        if inner.len == 0 {
-            let (guard, _) = self
-                .available
-                .wait_timeout(inner, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-        }
+    /// Takes the next job in round-robin tenant order, waiting while
+    /// the queue is empty. `None` once the queue is draining and empty:
+    /// no job will ever come.
+    pub fn pop(&self) -> Option<u64> {
+        let mut inner = self
+            .available
+            .wait_while(self.lock(), |inner| inner.len == 0 && !inner.draining)
+            .unwrap_or_else(PoisonError::into_inner);
         if inner.len == 0 {
             return None;
         }
@@ -143,6 +138,8 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn bounded_admission() {
@@ -151,7 +148,7 @@ mod tests {
         q.push("a", 2).unwrap();
         assert_eq!(q.push("a", 3), Err(PushError::Full));
         assert_eq!(q.push("b", 4), Err(PushError::Full), "cap is global");
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
+        assert_eq!(q.pop(), Some(1));
         q.push("b", 5).unwrap();
         assert_eq!(q.len(), 2);
     }
@@ -164,9 +161,7 @@ mod tests {
         }
         q.push("bob", 10).unwrap();
         q.push("carol", 20).unwrap();
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop_timeout(Duration::from_millis(1)))
-            .take(5)
-            .collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).take(5).collect();
         // Alice submitted first but bob and carol interleave: her
         // backlog cannot starve them.
         assert_eq!(order, vec![1, 10, 20, 2, 3]);
@@ -178,18 +173,28 @@ mod tests {
         q.push("a", 1).unwrap();
         q.drain();
         assert_eq!(q.push("a", 2), Err(PushError::Draining));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert!(q.is_empty());
+        assert_eq!(q.pop(), None, "drained and empty: nothing more will come");
     }
 
     #[test]
     fn pop_blocks_until_push() {
-        use std::sync::Arc;
         let q = Arc::new(JobQueue::new(4));
         let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
+        let handle = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(30));
         q.push("a", 7).unwrap();
         assert_eq!(handle.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn drain_wakes_a_pop_blocked_on_an_empty_queue() {
+        let q = Arc::new(JobQueue::new(4));
+        let q2 = Arc::clone(&q);
+        let handle = std::thread::spawn(move || q2.pop());
+        std::thread::sleep(Duration::from_millis(30));
+        q.drain();
+        assert_eq!(handle.join().unwrap(), None);
     }
 }

@@ -12,16 +12,21 @@
 //! re-enqueues every unfinished job and the journal restores its
 //! completed points byte-identically.
 //!
+//! Between a request and its answer nothing sleeps: the accept thread
+//! blocks in `accept()`, workers block on the queue, and a result
+//! stream wakes when its job's terminal state is published (its only
+//! timed wait, 25 ms, paces the re-reads of a running job's journal).
+//!
 //! Shutdown is two-phase: `drain` (SIGTERM or `POST /drain`) closes
 //! admission while queued and running jobs finish; once the pool is
 //! idle the accept loop stops and [`Server::join`] returns.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,7 +35,7 @@ use semsim_core::health::HealthReport;
 
 use crate::api::error_body;
 use crate::http::{read_request, respond_json, ChunkedWriter, Request};
-use crate::jobs::{cache_key, JobPhase, JobResult, JobStore, RecoveredJob};
+use crate::jobs::{cache_key, Job, JobPhase, JobResult, JobStore, RecoveredJob};
 use crate::queue::{JobQueue, PushError};
 use crate::runner;
 
@@ -71,7 +76,9 @@ struct Shared {
     store: JobStore,
     queue: JobQueue,
     health: Mutex<HealthReport>,
-    running: AtomicUsize,
+    /// Jobs a worker is executing (at most `workers`): all the deadline
+    /// watchdog scans.
+    running: Mutex<Vec<Arc<Job>>>,
     /// Accept loop + watchdog stop flag (set once the pool is idle
     /// after a drain).
     stopped: AtomicBool,
@@ -81,8 +88,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_health(&self) -> std::sync::MutexGuard<'_, HealthReport> {
+    fn lock_health(&self) -> MutexGuard<'_, HealthReport> {
         self.health.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_running(&self) -> MutexGuard<'_, Vec<Arc<Job>>> {
+        self.running.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -186,16 +197,13 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
         let (store, recovered, mut notes) =
             JobStore::open(&config.data_dir).map_err(|e| format!("data dir: {e}"))?;
         let shared = Arc::new(Shared {
             store,
             queue: JobQueue::new(config.queue_depth),
             health: Mutex::new(HealthReport::empty()),
-            running: AtomicUsize::new(0),
+            running: Mutex::new(Vec::new()),
             stopped: AtomicBool::new(false),
             workers: config.workers.max(1),
             max_job_seconds: config.max_job_seconds,
@@ -271,7 +279,13 @@ impl Server {
         }
         self.shared.stopped.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            // The accept thread is blocked in `accept()`: one connection
+            // wakes it to see the stop flag. Should that connection fail,
+            // the thread is left to end with the process rather than
+            // joined forever.
+            if TcpStream::connect(wake_addr(self.addr)).is_ok() {
+                let _ = handle.join();
+            }
         }
         if let Some(handle) = self.watchdog.take() {
             let _ = handle.join();
@@ -279,18 +293,25 @@ impl Server {
     }
 }
 
+/// Where [`Server::join`] connects to wake the accept thread: the bound
+/// address, or loopback of the same family when the daemon listens on
+/// an unspecified address (`0.0.0.0`, `::`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn worker_loop(shared: &Shared) {
-    loop {
-        let Some(id) = shared.queue.pop_timeout(Duration::from_millis(100)) else {
-            if shared.queue.is_draining() && shared.queue.is_empty() {
-                return;
-            }
-            continue;
-        };
+    while let Some(id) = shared.queue.pop() {
         let Some(job) = shared.store.get(id) else {
             continue;
         };
-        shared.running.fetch_add(1, Ordering::SeqCst);
         let budget = match (job.spec.timeout_secs, shared.max_job_seconds) {
             (Some(t), cap) if cap > 0.0 => t.min(cap),
             (Some(t), _) => t,
@@ -300,9 +321,10 @@ fn worker_loop(shared: &Shared) {
             (None, _) => 1e6,
         };
         job.start(Instant::now() + Duration::from_secs_f64(budget));
+        shared.lock_running().push(Arc::clone(&job));
         let journal = shared.store.journal_path(id);
         let outcome = catch_unwind(AssertUnwindSafe(|| runner::execute(&job, &journal)));
-        shared.running.fetch_sub(1, Ordering::SeqCst);
+        shared.lock_running().retain(|running| running.id != id);
         let (phase, result) = match outcome {
             Err(_) => (
                 JobPhase::Failed,
@@ -340,8 +362,8 @@ fn worker_loop(shared: &Shared) {
 fn watchdog_loop(shared: &Shared) {
     while !shared.stopped.load(Ordering::SeqCst) {
         let now = Instant::now();
-        for job in shared.store.all() {
-            if job.phase() != JobPhase::Running || job.cancel.is_cancelled() {
+        for job in shared.lock_running().iter() {
+            if job.cancel.is_cancelled() {
                 continue;
             }
             let expired = job
@@ -358,16 +380,21 @@ fn watchdog_loop(shared: &Shared) {
     }
 }
 
+/// Blocks in `accept()` and hands each connection to its own thread;
+/// returns at the first connection after the stop flag is set (the one
+/// [`Server::join`] makes to wake it).
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.stopped.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.stopped.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || handle_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A failed accept (EMFILE and the like): back off before
+            // retrying rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -500,7 +527,7 @@ fn submit(stream: &mut TcpStream, request: &Request, shared: &Shared) -> std::io
     }
 }
 
-fn status(stream: &mut TcpStream, shared: &Shared, job: &crate::jobs::Job) -> std::io::Result<()> {
+fn status(stream: &mut TcpStream, shared: &Shared, job: &Job) -> std::io::Result<()> {
     let phase = job.phase();
     if phase.is_terminal() {
         return respond_json(stream, 200, &job.render_done(), &[]);
@@ -525,12 +552,10 @@ fn status(stream: &mut TcpStream, shared: &Shared, job: &crate::jobs::Job) -> st
 /// final report, then a `# done <phase>` trailer. Because journal
 /// restores are byte-identical and the rendering is shared with the
 /// final report, the streamed bytes are identical whether the job ran
-/// clean or resumed across a crash.
-fn stream_results(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    job: &crate::jobs::Job,
-) -> std::io::Result<()> {
+/// clean or resumed across a crash. A running job's journal is re-read
+/// every 25 ms; the stream ends as soon as the job's terminal state is
+/// published, which is after its `.done` commit.
+fn stream_results(stream: &mut TcpStream, shared: &Shared, job: &Job) -> std::io::Result<()> {
     let journal = shared.store.journal_path(job.id);
     let mut writer = ChunkedWriter::start(stream, 200)?;
     let mut next = 0usize;
@@ -549,7 +574,7 @@ fn stream_results(
         if terminal {
             break;
         }
-        std::thread::sleep(Duration::from_millis(25));
+        job.wait_terminal(Duration::from_millis(25));
     }
     let phase = job.phase();
     let mut trailer = String::new();
@@ -587,7 +612,7 @@ fn healthz(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
         "{{\"queue_depth\":{},\"running\":{},\"workers\":{},\"draining\":{},\"jobs\":{jobs},\
          \"health\":{{\"audits\":{},\"worst_drift\":{:.3e},\"degradations\":{},\"duplicate_stimuli_dropped\":{}}}}}\n",
         shared.queue.len(),
-        shared.running.load(Ordering::SeqCst),
+        shared.lock_running().len(),
         shared.workers,
         shared.queue.is_draining(),
         health.audits,

@@ -271,6 +271,48 @@ fn identical_submissions_hit_the_result_cache() {
 }
 
 #[test]
+fn a_finished_stream_means_the_result_is_cached() {
+    // The stream ends when the job's end is published, which is after
+    // its commit: a resubmission the moment `# done` arrives must hit
+    // the cache, not start a duplicate job.
+    let (server, addr) = start("stream_then_cache", 1, 4, 0.0);
+    let body = job_body(QUICK_SWEEP, 11);
+    let first = request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(first.status, 202, "{}", first.body);
+    let stream = request(&addr, "GET", "/jobs/j1/stream", None).unwrap();
+    assert!(stream.body.ends_with("# done done\n"), "{}", stream.body);
+    let again = request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(again.status, 200, "{}", again.body);
+    let json = parse_json(&again.body).unwrap();
+    assert!(matches!(json.get("cached"), Some(Json::Bool(true))));
+    assert_eq!(str_field(&json, "id"), "j1", "served by the original job");
+    teardown(&server, &addr);
+    server.join();
+}
+
+#[test]
+fn a_daemon_bound_to_every_interface_answers_on_loopback_and_joins() {
+    // `join` wakes the blocked accept thread with a connection of its
+    // own; on an unspecified bind address it must reach loopback.
+    let config = ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        queue_depth: 4,
+        data_dir: temp_dir("bind_any"),
+        max_job_seconds: 0.0,
+        max_memory: 0,
+    };
+    let (server, _notes) = Server::start(&config).expect("daemon must start");
+    assert!(server.addr().ip().is_unspecified());
+    let loopback = format!("127.0.0.1:{}", server.addr().port());
+    let (status, health) = get_json(&loopback, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(num_field(&health, "running"), 0.0);
+    server.drain();
+    server.join();
+}
+
+#[test]
 fn restart_resumes_interrupted_jobs_byte_identically() {
     // Clean reference: the same job run without interruption.
     let (clean_server, clean_addr) = start("restart_clean", 1, 4, 0.0);

@@ -176,14 +176,27 @@ wait_phase() { # addr phase [job, default j1]
   done
   return 1
 }
+# A daemon takes requests once its log says `listening on` (at most ~30 s).
+wait_listening() { # log
+  for _ in $(seq 1 300); do
+    grep -q "listening on" "$1" && return 0
+    sleep 0.1
+  done
+  echo "FAIL: daemon never listened"; cat "$1"; return 1
+}
+# The stream ends when its job commits; its last line names the phase.
+stream_done() { # job out
+  timeout 120 "$bin" call "127.0.0.1:$port" GET "/jobs/$1/stream" > "$2" 2>/dev/null \
+    && [ "$(tail -n 1 "$2")" = "# done done" ]
+}
 # Clean baseline.
 "$bin" serve --port "$port" --workers 1 --data-dir "$sdir/clean" 2> "$sdir/clean.log" &
 spid=$!
-sleep 0.5
-"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1
-wait_phase "127.0.0.1:$port" done \
-  || { echo "FAIL: clean serve job never finished"; exit 1; }
-"$bin" call "127.0.0.1:$port" GET /jobs/j1/stream > "$sdir/clean.txt" 2>/dev/null
+wait_listening "$sdir/clean.log"
+"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1 \
+  || { echo "FAIL: clean serve job was not admitted"; exit 1; }
+stream_done j1 "$sdir/clean.txt" \
+  || { echo "FAIL: clean serve job never streamed to '# done done'"; exit 1; }
 # One renderer: a streamed job prints the result lines `semsim sweep`
 # prints for the same netlist, seed and event count.
 src=$(sed 's/\\/\\\\/g; s/"/\\"/g; s/$/\\n/' examples/netlists/set_sweep.cir | tr -d '\n')
@@ -204,8 +217,9 @@ wait $spid || { echo "FAIL: drained daemon exited nonzero"; exit 1; }
 # on the same data dir, and the streamed result must be byte-identical.
 "$bin" serve --port "$port" --workers 1 --data-dir "$sdir/crash" 2> "$sdir/crash.log" &
 spid=$!
-sleep 0.5
-"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1
+wait_listening "$sdir/crash.log"
+"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1 \
+  || { echo "FAIL: crash-run serve job was not admitted"; exit 1; }
 progressed=0
 for _ in $(seq 1 480); do
   n=$("$bin" call "127.0.0.1:$port" GET /jobs/j1 2>/dev/null \
@@ -217,12 +231,11 @@ done
 kill -9 $spid; wait $spid 2>/dev/null || true
 "$bin" serve --port "$port" --workers 1 --data-dir "$sdir/crash" 2> "$sdir/restart.log" &
 spid=$!
-sleep 0.5
+wait_listening "$sdir/restart.log"
 grep -q "restored from journal" "$sdir/restart.log" \
   || { echo "FAIL: restart did not resume the interrupted job"; cat "$sdir/restart.log"; exit 1; }
-wait_phase "127.0.0.1:$port" done \
-  || { echo "FAIL: resumed serve job never finished"; exit 1; }
-"$bin" call "127.0.0.1:$port" GET /jobs/j1/stream > "$sdir/crash.txt" 2>/dev/null
+stream_done j1 "$sdir/crash.txt" \
+  || { echo "FAIL: resumed serve job never streamed to '# done done'"; exit 1; }
 diff "$sdir/clean.txt" "$sdir/crash.txt" \
   || { echo "FAIL: kill -9 + restart changed the streamed results"; exit 1; }
 "$bin" call "127.0.0.1:$port" POST /drain > /dev/null 2>&1
@@ -233,8 +246,9 @@ echo "serve restart OK: $(grep 'restored from journal' "$sdir/restart.log")"
 "$bin" serve --port "$port" --workers 1 --queue-depth 1 \
   --data-dir "$sdir/sat" 2> "$sdir/sat.log" &
 spid=$!
-sleep 0.5
-"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1
+wait_listening "$sdir/sat.log"
+"$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1 \
+  || { echo "FAIL: first saturation job was not admitted"; exit 1; }
 wait_phase "127.0.0.1:$port" running \
   || { echo "FAIL: first job never started"; exit 1; }
 "$bin" call "127.0.0.1:$port" POST /jobs "$sdir/job.json" > /dev/null 2>&1
